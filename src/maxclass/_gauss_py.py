@@ -1,47 +1,13 @@
-"""Pure-Python elimination kernels.
+"""Pure-Python elimination kernel over F_p.
 
-Same API as the compiled `_gauss` extension; the slower of the two
-routes selected by `maxclass.linalg` at import time.  All routines work
-in place on dense row-major lists and pivot on the first nonzero entry
-in column order, so results are deterministic.
+Same `rref_fp` as the compiled `_gauss` extension; the slower of the
+two routes selected by `maxclass.linalg` at import time.  It works in
+place on dense row-major lists and pivots on the first nonzero entry in
+column order, so results are deterministic.
 """
 from __future__ import annotations
 
 BACKEND = "python"
-
-
-def rank_int(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = len(rows)
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = -1
-        for r in range(rank, m):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            rows[piv], rows[rank] = rows[rank], rows[piv]
-        prow = rows[rank]
-        pval = prow[col]
-        for r in range(rank + 1, m):
-            row = rows[r]
-            rv = row[col]
-            if rv:
-                for j in range(col + 1, ncols):
-                    row[j] = (pval * row[j] - rv * prow[j]) // prev
-                row[col] = 0
-            elif prev != pval:
-                for j in range(col + 1, ncols):
-                    row[j] = (pval * row[j]) // prev
-        prev = pval
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 def rref_fp(rows: list[list[int]], ncols: int, p: int) -> tuple[int, list[int]]:

@@ -8,6 +8,7 @@ finite quotients; custom algebras load from a JSON document.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -215,17 +216,21 @@ class ValidationReport:
         return f"ValidationReport({self.algebra}, bound={self.bound}: {status})"
 
 
+_PREDICATE_IDS = itertools.count()
+
+
 def subalgebra(alg: GradedAlgebra, indices: Iterable[int] | Callable[[int], bool],
                closure_bound: int = 60) -> GradedAlgebra:
     """Restrict alg to an index subset, checking bracket closure up to
     closure_bound (finitely, since the subset may be infinite)."""
     if callable(indices):
+        # two predicates cannot be compared, so each gets its own key
         member = indices
-        tag = "pred"
+        tag = f"pred{next(_PREDICATE_IDS)}"
     else:
         idx = frozenset(indices)
         member = idx.__contains__
-        tag = ",".join(map(str, sorted(idx)[:8]))
+        tag = ",".join(map(str, sorted(idx)))
 
     def contains(i):
         return alg.contains(i) and member(i)

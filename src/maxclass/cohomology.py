@@ -22,6 +22,10 @@ class NotCocycle(ValueError):
     """Exactness was asked of a cochain that is not closed."""
 
 
+class RouteMismatch(ArithmeticError):
+    """Two routes to the same dimension of a cell disagree."""
+
+
 @lru_cache(maxsize=None)
 def _cached_matrix(alg: GradedAlgebra, field: Field, q: int, k: int):
     return differential_matrix(alg, q, k, field)
@@ -154,7 +158,10 @@ def representatives(alg: GradedAlgebra, q: int, k: int,
                             if not f.is_zero(v)})
             reps.append(_normalize_leading(c))
             insert(dense)
-    assert len(reps) == betti(alg, q, k, field)
+    expected = betti(alg, q, k, field)
+    if len(reps) != expected:
+        raise RouteMismatch(f"{len(reps)} representatives at ({q}, {k}), "
+                            f"but b^{q}_{k} = {expected}")
     return reps
 
 

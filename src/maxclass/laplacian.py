@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import linalg
 from .algebra import GradedAlgebra
 from .cochain import Cochain, basis, differential_matrix, sort_with_sign
-from .cohomology import betti
+from .cohomology import RouteMismatch, betti
 from .fields import QQ, Field
 
 
@@ -63,7 +63,10 @@ def harmonic_basis(alg: GradedAlgebra, q: int, k: int,
     M = laplacian_matrix(alg, q, k, field)
     vectors = linalg.kernel_basis(M)
     out = [Cochain(field, v) for v in vectors]
-    assert len(out) == betti(alg, q, k, field)
+    expected = betti(alg, q, k, field)
+    if len(out) != expected:
+        raise RouteMismatch(f"{len(out)} harmonic forms at ({q}, {k}), "
+                            f"but b^{q}_{k} = {expected}")
     return out
 
 

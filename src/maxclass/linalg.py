@@ -1,16 +1,24 @@
 """Exact sparse linear algebra over the chosen field.
 
 Rank, kernel bases and membership-in-image solving: the brute-force
-oracle behind every cohomology dimension.  Storage is sparse; the
-elimination itself runs dense row-major, through the compiled `_gauss`
-kernel when available (set MAXCLASS_PURE=1 to force the fallback).
+oracle behind every cohomology dimension.  Over Q all three are
+certified modular elimination: a sparse row echelon form modulo
+word-size primes, RREF kernel vectors (or the solution) rebuilt by
+Chinese remaindering and rational reconstruction, and an exact integer
+check before any result is returned (see _certified_kernel).  Over F_p
+the elimination runs dense through `rref_fp`, compiled from `_gauss`
+when available (MAXCLASS_PURE=1 forces the pure-Python fallback); the
+compiled kernel speeds up only F_p.
 """
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import count
+from math import gcd, isqrt, lcm
 
-from .fields import QQ, Field
+from .fields import Field, _is_prime
 
 if os.environ.get("MAXCLASS_PURE"):
     from . import _gauss_py as _kern
@@ -122,42 +130,177 @@ class KernelBasis:
         return iter(self.vectors)
 
 
-def _rref_fractions(rows: list[list[Fraction]], ncols: int) -> tuple[int, list[int]]:
-    """In-place RREF with rational pivot scaling; first-nonzero pivoting."""
-    m = len(rows)
-    rank = 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        piv = -1
-        for r in range(rank, m):
-            if rows[r][col]:
-                piv = r
+class CertificationError(ArithmeticError):
+    """The prime sequence ended before an exact check passed."""
+
+
+_PRIMES: list[int] = []
+
+
+def _primes():
+    """Primes below 2**30, descending, found on first use.  Residues below
+    2**30 fit one CPython digit, which keeps arithmetic on its fast path."""
+    for i in count():
+        if i == len(_PRIMES):
+            n = (_PRIMES[-1] if _PRIMES else 2 ** 30 + 1) - 2
+            while not _is_prime(n):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[i]
+
+
+def _echelon(rows: list[dict[int, int]], p: int):
+    """Row echelon form mod p as pivot rows keyed by pivot column (their
+    smallest column, scaled to 1), and the rows that gave a pivot."""
+    pivots: dict[int, dict[int, int]] = {}
+    independent = []
+    for src in rows:
+        row = {c: v % p for c, v in src.items() if v % p}
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            v = row[c]
+            if not v:
+                continue
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(v, -1, p)
+                pivots[c] = {j: x * inv % p for j, x in row.items() if x}
+                independent.append(src)
                 break
-        if piv < 0:
+            for j, x in prow.items():
+                y = row.get(j)
+                if y is None:
+                    row[j] = -v * x % p
+                    heappush(heap, j)
+                else:
+                    row[j] = (y - v * x) % p
+    return pivots, independent
+
+
+def _reduce(pivots: dict[int, dict[int, int]], p: int, free: set[int]):
+    """Back substitution: the RREF entries mod p at the columns `free`,
+    keyed by (pivot column, free column)."""
+    reduced: dict[int, dict[int, int]] = {}
+    for c in sorted(pivots, reverse=True):
+        acc: dict[int, int] = {}
+        for j, x in pivots[c].items():
+            if j in reduced:
+                for f, y in reduced[j].items():
+                    acc[f] = acc.get(f, 0) - x * y
+            elif j in free:
+                acc[j] = acc.get(j, 0) + x
+        reduced[c] = {f: y % p for f, y in acc.items() if y % p}
+    return {(c, f): y for c, row in reduced.items() for f, y in row.items()}
+
+
+def _rational(u: int, m: int, bound: int) -> Fraction | None:
+    """The fraction a/b = u mod m with |a|, b <= bound, if there is one."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None):
+    """Pivot columns over Q of the integer matrix with these sparse rows,
+    and its RREF kernel vectors keyed by column: for every free column,
+    or for `target` alone when it is free.
+
+    rank_p <= rank_Q for every prime p, so a prime with a lower rank or
+    later pivots than another is dropped.  The vectors are accepted only
+    once M w = 0 holds exactly for each of them: then rank_Q <= rank_p,
+    the pivots are those over Q, and the vectors are the unique RREF
+    ones.  With `target` free, M w = 0 is M u = v for the solution u;
+    with `target` a pivot, it certifies rank_Q of the other columns and
+    so that `target` is outside their span.  A failed check adds a prime.
+    """
+    rows = sorted(rows, key=len)
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for r, row in enumerate(rows):
+        for c, a in row.items():
+            columns.setdefault(c, []).append((r, a))
+
+    def annihilated(vec):
+        den = lcm(*(x.denominator for x in vec.values()))
+        acc: dict[int, int] = {}
+        for c, x in vec.items():
+            w = x.numerator * (den // x.denominator)
+            for r, a in columns.get(c, ()):
+                acc[r] = acc.get(r, 0) + a * w
+        return not any(acc.values())
+
+    # rows independent mod p are independent over Q: once a prime has set
+    # the pivots, the next ones eliminate only the rows it kept
+    best, basis = None, rows
+    for p in _primes():
+        echelon, independent = _echelon(basis, p)
+        key = (-len(echelon), sorted(echelon))
+        if best is None or key < best:
+            best, residues, modulus = key, {}, 1
+        elif key > best:
             continue
-        if piv != rank:
-            rows[piv], rows[rank] = rows[rank], rows[piv]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for j in range(col, ncols):
-            prow[j] *= inv
-        for r in range(m):
-            if r != rank and rows[r][col]:
-                rv = rows[r][col]
-                row = rows[r]
-                for j in range(col, ncols):
-                    row[j] -= rv * prow[j]
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    return rank, pivots
+        basis = independent
+        if target is not None and target not in echelon:
+            free = [target]
+        else:
+            free = [c for c in range(ncols) if c not in echelon]
+        step = _reduce(echelon, p, set(free))
+        inv = pow(modulus, -1, p)
+        for entry in residues.keys() | step.keys():
+            a = residues.get(entry, 0)
+            residues[entry] = a + modulus * ((step.get(entry, 0) - a) * inv % p)
+        modulus *= p
+        bound = isqrt(modulus // 2)
+        vectors = {f: {f: Fraction(1)} for f in free}
+        for (c, f), u in sorted(residues.items()):
+            x = _rational(u, modulus, bound)
+            if x is None:
+                break
+            vectors[f][c] = -x
+        else:
+            if all(annihilated(vec) for vec in vectors.values()):
+                return key[1], list(vectors.values())
+            basis = rows
+    raise CertificationError("no prime left to certify the elimination")
 
 
-def _rref(field: Field, dense, ncols: int) -> tuple[int, list[int]]:
-    if field.characteristic == 0:
-        return _rref_fractions(dense, ncols)
-    return _kern.rref_fp(dense, ncols, field.characteristic)
+def _kernel(M: SparseMatrix, rhs: dict[int, object] | None = None):
+    """Pivot columns and RREF kernel vectors, keyed by column index, of M,
+    or of [M | rhs] with rhs keyed by row index; with rhs, only the
+    vector of the rhs column is built when that column is free."""
+    f = M.field
+    ncols, target = (M.cols, None) if rhs is None else (M.cols + 1, M.cols)
+    if f.characteristic == 0:
+        by_row: dict[int, dict[int, object]] = {}
+        for (r, c), v in M.entries.items():
+            by_row.setdefault(r, {})[c] = v
+        for r, v in (rhs or {}).items():
+            by_row.setdefault(r, {})[M.cols] = v
+        rows = []
+        for row in by_row.values():
+            den = lcm(*(v.denominator for v in row.values()))
+            rows.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+        return _certified_kernel(rows, ncols, target)
+    dense = M.to_dense()
+    if rhs is not None:
+        for r, row in enumerate(dense):
+            row.append(rhs.get(r, f.zero))
+    _, pivots = _kern.rref_fp(dense, ncols, f.characteristic)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    vectors = []
+    for fc in ([target] if target in free else free):
+        vec = {fc: f.one}
+        for r, pc in enumerate(pivots):
+            if not f.is_zero(dense[r][fc]):
+                vec[pc] = f.neg(dense[r][fc])
+        vectors.append(vec)
+    return pivots, vectors
 
 
 def rank(M: SparseMatrix) -> int:
@@ -165,72 +308,29 @@ def rank(M: SparseMatrix) -> int:
     if M.is_zero():
         return 0
     if M.field.characteristic == 0:
-        # clear denominators rowwise, then fraction-free integer elimination
-        by_row: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in M.entries.items():
-            by_row.setdefault(r, {})[c] = v
-        dense = []
-        for r, row in by_row.items():
-            lcm = 1
-            for v in row.values():
-                d = Fraction(v).denominator
-                lcm = lcm * d // _gcd(lcm, d)
-            ints = [0] * M.cols
-            for c, v in row.items():
-                fr = Fraction(v) * lcm
-                ints[c] = fr.numerator
-            dense.append(ints)
-        return _kern.rank_int(dense, M.cols)
-    dense = M.to_dense()
-    r, _ = _kern.rref_fp(dense, M.cols, M.field.characteristic)
-    return r
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+        return len(_kernel(M)[0])
+    return _kern.rref_fp(M.to_dense(), M.cols, M.field.characteristic)[0]
 
 
 def kernel_basis(M: SparseMatrix) -> KernelBasis:
     """Basis of the null space, size cols - rank, reduced echelon form."""
-    f = M.field
-    dense = M.to_dense()
-    rk, pivots = _rref(f, dense, M.cols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(M.cols) if c not in pivot_set]
-    vectors = []
-    for fc in free_cols:
-        vec = {M.col_labels[fc]: f.one}
-        for r, pc in enumerate(pivots):
-            v = dense[r][fc]
-            if not f.is_zero(v):
-                vec[M.col_labels[pc]] = f.neg(v)
-        vectors.append(vec)
-    assert len(vectors) == M.cols - rk
-    return KernelBasis(vectors, M.col_labels)
+    labels = M.col_labels
+    return KernelBasis([{labels[c]: x for c, x in vec.items()} for vec in _kernel(M)[1]],
+                       labels)
 
 
 def solve_in_image(M: SparseMatrix, v: dict):
     """Some u with M u = v, or None when v is outside the image."""
     f = M.field
     row_index = {lbl: r for r, lbl in enumerate(M.row_labels)}
-    rhs = [f.zero] * M.rows
+    rhs: dict[int, object] = {}
     for lbl, val in v.items():
+        if f.is_zero(val):
+            continue
         if lbl not in row_index:
-            if f.is_zero(val):
-                continue
             raise DimensionMismatch(f"unknown row label {lbl!r}")
         rhs[row_index[lbl]] = val
-    aug = M.to_dense()
-    for r in range(M.rows):
-        aug[r] = aug[r] + [rhs[r]]
-    rk, pivots = _rref(f, aug, M.cols + 1)
+    pivots, vectors = _kernel(M, rhs)
     if M.cols in pivots:
         return None
-    u: dict = {}
-    for r, pc in enumerate(pivots):
-        val = aug[r][M.cols]
-        if not f.is_zero(val):
-            u[M.col_labels[pc]] = val
-    return u
+    return {M.col_labels[c]: f.neg(x) for c, x in vectors[0].items() if c != M.cols}

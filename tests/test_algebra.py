@@ -71,6 +71,14 @@ def test_subalgebra_closure():
         subalgebra(m2, lambda i: i in (1, 2))
 
 
+def test_subalgebra_keys_are_distinct():
+    m2 = preset("m2")
+    assert subalgebra(m2, lambda i: i != 2).key != subalgebra(m2, lambda i: i >= 3).key
+    long = subalgebra(m2, range(3, 60))
+    other = subalgebra(m2, [3, 4, 5, 6, 7, 8, 9, 10, 200])
+    assert long.key != other.key and long != other
+
+
 CUSTOM = {
     "name": "heis5",
     "truncation": 5,

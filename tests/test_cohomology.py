@@ -4,10 +4,11 @@ import pytest
 
 from maxclass.algebra import preset, subalgebra
 from maxclass.cochain import Cochain, basis, differential
-from maxclass.cohomology import (NotCocycle, betti, betti_table,
+from maxclass import cohomology
+from maxclass.cohomology import (NotCocycle, RouteMismatch, betti, betti_table,
                                  class_coordinates, euler_characteristic,
                                  is_exact, representatives)
-from maxclass.combinatorics import partitions_P
+from maxclass.combinatorics import distinct_V, partitions_P
 from maxclass.fields import QQ, PrimeField
 
 
@@ -121,3 +122,24 @@ def test_ideal_complex_is_abelian_for_m0():
     for q in range(4):
         for k in range(20):
             assert betti(ideal, q, k) == len(basis(ideal, q, k))
+
+
+def test_betti_independent_of_earlier_subalgebras():
+    """Cells cached for one subalgebra must not answer for another: the
+    abelian ideal e3, e4, ... of m2 has b^q_k = the number of partitions
+    of k into q distinct parts >= 3, after the m2 split's ideal."""
+    m2 = preset("m2")
+    split_ideal = subalgebra(m2, lambda i: i != 2)
+    for q in range(4):
+        for k in range(16):
+            betti(split_ideal, q, k)
+    ideal = subalgebra(m2, lambda i: i >= 3)
+    for q in range(4):
+        for k in range(16):
+            assert betti(ideal, q, k) == distinct_V(q, k - 2 * q), (q, k)
+
+
+def test_representatives_raise_on_route_mismatch(monkeypatch):
+    monkeypatch.setattr(cohomology, "betti", lambda alg, q, k, field=QQ: 2)
+    with pytest.raises(RouteMismatch):
+        representatives(preset("m0"), 2, 5)

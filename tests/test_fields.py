@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from maxclass.fields import (QQ, DivisionByZero, PrimeField, make_scalar,
-                             parse_field)
+from maxclass.fields import (QQ, DivisionByZero, PrimalityUndecided, PrimeField,
+                             _is_prime, make_scalar, parse_field)
 
 
 def test_rational_basics():
@@ -78,3 +79,18 @@ def test_reduction_is_ring_hom(a, b, c, d):
 def test_make_scalar():
     assert make_scalar(QQ, 2, 4) == Fraction(1, 2)
     assert make_scalar(PrimeField(5), 2, 4) == 3
+
+
+def test_large_prime_field_parses_quickly():
+    start = time.perf_counter()
+    assert parse_field("fp:2305843009213693951").characteristic == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_primality_is_deterministic():
+    assert not _is_prime(3215031751)   # strong pseudoprime to bases 2, 3, 5, 7
+    assert not _is_prime(561)          # Carmichael number
+    small = [n for n in range(2, 2000) if all(n % d for d in range(2, n))]
+    assert [n for n in range(2000) if _is_prime(n)] == small
+    with pytest.raises(PrimalityUndecided):
+        _is_prime(2 ** 89 - 1)

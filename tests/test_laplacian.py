@@ -1,9 +1,10 @@
 """Tests for the Hodge Laplacian route to the Betti numbers."""
 import pytest
 
+from maxclass import laplacian
 from maxclass.algebra import preset
 from maxclass.cochain import Cochain, basis, differential
-from maxclass.cohomology import betti, is_exact
+from maxclass.cohomology import RouteMismatch, betti, is_exact
 from maxclass.fields import QQ, PrimeField
 from maxclass.laplacian import (
     FieldNotOrdered,
@@ -91,3 +92,9 @@ def test_structure_on_combinations():
     assert m0_structure_check(m0, mono(2, 5) + mono(3, 4))
     assert m0_structure_check(m0, mono(1, 2, 5) + mono(1, 3, 4))
     assert m0_structure_check(m0, Cochain(QQ))
+
+
+def test_harmonic_basis_raises_on_route_mismatch(monkeypatch):
+    monkeypatch.setattr(laplacian, "betti", lambda alg, q, k, field=QQ: 0)
+    with pytest.raises(RouteMismatch):
+        harmonic_basis(preset("m0"), 2, 5)

@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxclass import linalg
-from maxclass._gauss_py import rank_int as rank_int_py, rref_fp as rref_fp_py
-from maxclass.fields import QQ, PrimeField
-from maxclass.linalg import SparseMatrix, kernel_basis, rank, solve_in_image
+from maxclass._gauss_py import rref_fp as rref_fp_py
+from maxclass.algebra import preset
+from maxclass.cochain import differential_matrix
+from maxclass.fields import QQ, PrimeField, _is_prime
+from maxclass.linalg import (CertificationError, SparseMatrix, kernel_basis, rank,
+                             solve_in_image)
+
+import elimination_oracle as oracle
+from elimination_oracle import rank_int as rank_int_py
 
 try:
     from maxclass._gauss import rank_int as rank_int_c, rref_fp as rref_fp_c
@@ -120,3 +126,155 @@ def test_rank_matches_fraction_rref(m, n, data):
 
 def test_backend_name_exported():
     assert linalg.BACKEND in ("cython", "python")
+
+
+def test_no_float_reaches_a_result():
+    """Integer entries over Q must not be divided as Python ints."""
+    M = SparseMatrix.from_dense(QQ, [[3, 1, 0], [6, 2, 1]])
+    vecs = list(kernel_basis(M))
+    assert vecs == [{1: Fraction(1), 0: Fraction(-1, 3)}]
+    assert all(type(x) is Fraction for v in vecs for x in v.values())
+    sol = solve_in_image(M, {0: 3, 1: 6})
+    assert sol == {0: Fraction(1)}
+    assert all(type(x) is Fraction for x in sol.values())
+
+
+# --- certified modular elimination against the oracle -----------------------
+
+@st.composite
+def rational_matrices(draw, max_rows=6, max_cols=6):
+    """Random small matrices over Q: plain ones, and products of two
+    integer factors of small inner size, so that kernels are common; each
+    row is then divided by its own denominator."""
+    m, n = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+
+    def ints(rows, cols, bound):
+        return draw(st.lists(st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        entries = ints(m, n, 6)
+    else:
+        inner = draw(st.integers(1, 3))
+        a, b = ints(m, inner, 4), ints(inner, n, 4)
+        entries = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    dens = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
+    return [[Fraction(x, d) for x in row] for row, d in zip(entries, dens)]
+
+
+def _apply(dense, u: dict) -> list:
+    return [sum((row[c] * x for c, x in u.items()), Fraction(0)) for row in dense]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices())
+def test_rank_and_kernel_match_oracle(dense):
+    n = len(dense[0])
+    M = dense_matrix(QQ, dense)
+    assert rank(M) == oracle.rank_int(oracle.integer_rows(dense), n)
+    assert list(kernel_basis(M)) == oracle.kernel(dense, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_in_image_matches_oracle(dense, data):
+    m, n = len(dense), len(dense[0])
+    M = dense_matrix(QQ, dense)
+    if data.draw(st.booleans()):
+        # a vector in the image, possibly zero
+        u0 = {c: Fraction(data.draw(st.integers(-3, 3))) for c in range(n)}
+        rhs = _apply(dense, u0)
+    else:
+        rhs = [Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+               for _ in range(m)]
+    sol = solve_in_image(M, {r: x for r, x in enumerate(rhs) if x})
+    assert (sol is not None) == oracle.in_image(dense, n, rhs)
+    if sol is not None:
+        assert _apply(dense, sol) == rhs
+
+
+def _first_primes(count):
+    primes = linalg._primes()
+    return [next(primes) for _ in range(count)]
+
+
+def test_engine_primes_are_prime():
+    primes = _first_primes(25)
+    assert all(_is_prime(p) for p in primes)
+    assert primes == sorted(primes, reverse=True) and primes[0] < 2 ** 30
+
+
+@pytest.mark.parametrize("bad", [1, 2])
+def test_entries_divisible_by_the_first_primes(bad):
+    """Modulo the first `bad` primes the matrix is zero: they must be
+    dropped, not mixed into the reconstruction."""
+    scale = 1
+    for p in _first_primes(bad):
+        scale *= p
+    base = [[1, 2, 3, 4], [2, 4, 6, 9], [0, 1, 1, 1], [1, 3, 4, 5]]
+    dense = [[Fraction(scale * x) for x in row] for row in base]
+    M = dense_matrix(QQ, dense)
+    assert rank(M) == 3
+    assert list(kernel_basis(M)) == oracle.kernel(dense, 4)
+    assert solve_in_image(M, {0: scale, 1: 2 * scale, 3: scale}) == {0: Fraction(1)}
+    assert solve_in_image(M, {0: 1}) is None
+
+
+def test_prime_with_lower_rank_or_later_pivots():
+    """Modulo the first prime p, [[1, 1], [1, 1 + p]] has rank 1, and
+    [[1, 1, 0], [1, 1 + p, 1]] has pivots (0, 2) instead of (0, 1)."""
+    p = _first_primes(1)[0]
+    low = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1 + p)]]
+    assert rank(dense_matrix(QQ, low)) == 2
+    assert list(kernel_basis(dense_matrix(QQ, low))) == []
+    late = [[Fraction(1), Fraction(1), Fraction(0)],
+            [Fraction(1), Fraction(1 + p), Fraction(1)]]
+    M = dense_matrix(QQ, late)
+    assert list(kernel_basis(M)) == oracle.kernel(late, 3)
+    # modulo p the solution would be e0, which misses the second entry
+    assert solve_in_image(M, {0: 1, 1: 1 + p}) == {1: Fraction(1)}
+
+
+def test_kernel_entries_beyond_one_prime(monkeypatch):
+    """Kernel entries of more than 40 bits need CRT over several primes."""
+    a, b = 2 ** 41 + 15, 3 ** 27 + 2
+    dense = [[Fraction(a), Fraction(-b), Fraction(0)],
+             [Fraction(0), Fraction(b), Fraction(-7 * a)]]
+    M = dense_matrix(QQ, dense)
+    primes = linalg._primes
+    used = []
+    monkeypatch.setattr(linalg, "_primes", lambda: (used.append(p) or p for p in primes()))
+    vecs = list(kernel_basis(M))
+    assert len(used) >= 3
+    assert vecs == oracle.kernel(dense, 3)
+    assert vecs == [{2: Fraction(1), 0: Fraction(7), 1: Fraction(7 * a, b)}]
+    assert rank(M) == 2
+    assert solve_in_image(M, {0: a, 1: b}) == {0: Fraction(a + b, a), 1: Fraction(1)}
+
+
+def test_dropped_prime_is_not_mixed(monkeypatch):
+    """The kernel entry b/a needs two primes; modulo the middle one of
+    three the row vanishes.  Dropping it certifies from the other two,
+    mixing it into the reconstruction would spoil every entry."""
+    p0, p1, p2 = _first_primes(3)
+    monkeypatch.setattr(linalg, "_primes", lambda: iter([p0, p1, p2]))
+    a, b = 2 ** 25 + 1, 3 ** 16 + 4
+    M = SparseMatrix.from_dense(QQ, [[Fraction(p1 * a), Fraction(-p1 * b)]])
+    assert list(kernel_basis(M)) == [{1: Fraction(1), 0: Fraction(b, a)}]
+
+
+def test_certification_error_when_primes_run_out(monkeypatch):
+    """Modulo 3 the pivots of [[3, 1, 0], [6, 2, 1]] are wrong and the
+    exact check fails; with no prime left the engine must say so."""
+    monkeypatch.setattr(linalg, "_primes", lambda: iter([3]))
+    M = SparseMatrix.from_dense(QQ, [[3, 1, 0], [6, 2, 1]])
+    with pytest.raises(CertificationError):
+        rank(M)
+
+
+def test_real_cell_against_bareiss():
+    D = differential_matrix(preset("l1"), 4, 30, QQ)
+    dense = D.to_dense()
+    assert rank(D) == oracle.rank_int(oracle.integer_rows(dense), D.cols)
+    assert [{D.col_labels.index(m): x for m, x in vec.items()} for vec in kernel_basis(D)] \
+        == oracle.kernel(dense, D.cols)
