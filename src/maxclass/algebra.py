@@ -286,9 +286,14 @@ def load_custom(document) -> GradedAlgebra:
                     [("grading", (i, j), k)])
         table[(i, j)] = terms
 
+    # hashlib loads OpenSSL, some MB of resident memory that only custom
+    # algebras need
+    from hashlib import sha256
+
+    canonical = json.dumps(document, sort_keys=True)
     alg = GradedAlgebra(name, lambda i, j: table.get((i, j), []),
                         lambda i: True, truncation=n,
-                        key=f"custom:{name}:{n}:{hash(json.dumps(document, sort_keys=True))}")
+                        key=f"custom:{name}:{n}:{sha256(canonical.encode()).hexdigest()}")
     report = validate(alg, max(3, 2 * n + n))
     if not report.passed:
         raise ValidationFailed(f"algebra {name!r} fails validation: "

@@ -1,9 +1,9 @@
 """Betti numbers and representative cocycles from the cochain complex.
 
 This is the brute-force route: dimensions come from exact ranks of the
-differential, representatives from kernel bases reduced modulo the
-image.  Ranks are cached per (algebra, field, q, k) since the table
-computations reuse them heavily.
+differential, representatives from the reduced echelon kernel basis,
+selected by the pivots of the image.  Ranks are cached per (algebra,
+field, q, k) since the table computations reuse them heavily.
 """
 from __future__ import annotations
 
@@ -88,76 +88,30 @@ def betti_table(alg: GradedAlgebra, qmax: int, kmax: int,
     return BettiTable(alg.name, field, entries, qmax, kmax)
 
 
-def _normalize_leading(c: Cochain) -> Cochain:
-    """Scale so the lexicographically last monomial has coefficient 1."""
-    if c.is_zero():
-        return c
-    lead = max(c.terms)
-    return c.scaled(c.field.inv(c.terms[lead]))
-
-
 def representatives(alg: GradedAlgebra, q: int, k: int,
                     field: Field = QQ) -> list[Cochain]:
-    """Cocycles whose classes form a basis of H^q_k, reduced modulo the
-    image of d and normalized on their last monomial."""
+    """Cocycles whose classes form a basis of H^q_k, chosen canonically.
+
+    Each reduced echelon kernel vector z_f of d^q_k has coefficient 1 on
+    its free column f, which is its last monomial, and 0 on every other
+    free column.  The last monomial of every coboundary is such a free
+    column, so the z_f whose f is the last monomial of no coboundary
+    form a basis of H^q_k, ordered by f; each is 0 on the last monomial
+    of every coboundary."""
     mono_basis = basis(alg, q, k)
     if not mono_basis:
         return []
-    f = field
-    d_here = _cached_matrix(alg, field, q, k)
-    kernel = linalg.kernel_basis(d_here)
-    if q == 0:
-        image_cols: list[dict] = []
-    else:
+    taken = set()
+    if q > 0:
+        # last monomials of coboundaries: the pivots of the image with the
+        # monomials in reverse order
         d_prev = _cached_matrix(alg, field, q - 1, k)
-        image_cols = []
-        for cidx, mono in enumerate(d_prev.col_labels):
-            col = {d_prev.row_labels[r]: v
-                   for (r, c), v in d_prev.entries.items() if c == cidx}
-            if col:
-                image_cols.append(col)
-
-    # row space spanned by the image; reduce kernel vectors against it
-    order = {m: i for i, m in enumerate(mono_basis)}
-    span: list[tuple[int, list]] = []  # (pivot position, dense row)
-
-    def reduce(vec: dict) -> list:
-        dense = [f.zero] * len(mono_basis)
-        for m, v in vec.items():
-            dense[order[m]] = v
-        for piv, row in span:
-            if not f.is_zero(dense[piv]):
-                coef = dense[piv]
-                for j in range(piv, len(dense)):
-                    dense[j] = f.sub(dense[j], f.mul(coef, row[j]))
-        return dense
-
-    def insert(dense: list) -> bool:
-        for piv in range(len(dense)):
-            if not f.is_zero(dense[piv]):
-                inv = f.inv(dense[piv])
-                row = [f.mul(v, inv) for v in dense]
-                for other_piv, other in span:
-                    if not f.is_zero(other[piv]):
-                        coef = other[piv]
-                        for j in range(len(other)):
-                            other[j] = f.sub(other[j], f.mul(coef, row[j]))
-                span.append((piv, row))
-                span.sort(key=lambda pr: pr[0])
-                return True
-        return False
-
-    for col in image_cols:
-        insert(reduce(col))
-
-    reps = []
-    for vec in kernel:
-        dense = reduce(vec)
-        if any(not f.is_zero(v) for v in dense):
-            c = Cochain(f, {mono_basis[i]: v for i, v in enumerate(dense)
-                            if not f.is_zero(v)})
-            reps.append(_normalize_leading(c))
-            insert(dense)
+        last = len(mono_basis) - 1
+        flipped = linalg.SparseMatrix(field, d_prev.cols, d_prev.rows,
+                                      {(c, last - r): v for (r, c), v in d_prev.entries.items()})
+        taken = {mono_basis[last - c] for c in linalg.pivot_columns(flipped)}
+    kernel = linalg.kernel_basis(_cached_matrix(alg, field, q, k))
+    reps = [Cochain(field, vec) for vec in kernel if max(vec) not in taken]
     expected = betti(alg, q, k, field)
     if len(reps) != expected:
         raise RouteMismatch(f"{len(reps)} representatives at ({q}, {k}), "
@@ -187,20 +141,15 @@ def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
     by reps, or None if c is not in their span modulo exact forms."""
     mono_basis = basis(alg, q, k)
     order = {m: i for i, m in enumerate(mono_basis)}
-    cols: list[dict] = [dict(r.terms) for r in reps]
+    entries = {(order[m], j): v for j, r in enumerate(reps) for m, v in r.terms.items()}
+    ncols = len(reps)
     if q > 0:
+        # the rows of d^{q-1}_k are mono_basis in the same order
         d_prev = _cached_matrix(alg, field, q - 1, k)
-        for cidx in range(d_prev.cols):
-            col = {d_prev.row_labels[r]: v
-                   for (r, cc), v in d_prev.entries.items() if cc == cidx}
-            cols.append(col)
-    entries = {}
-    for j, col in enumerate(cols):
-        for m, v in col.items():
-            entries[(order[m], j)] = v
-    M = linalg.SparseMatrix(field, len(mono_basis), len(cols), entries,
-                            row_labels=mono_basis,
-                            col_labels=list(range(len(cols))))
+        entries.update({(r, ncols + c): v for (r, c), v in d_prev.entries.items()})
+        ncols += d_prev.cols
+    M = linalg.SparseMatrix(field, len(mono_basis), ncols, entries,
+                            row_labels=mono_basis, col_labels=list(range(ncols)))
     sol = linalg.solve_in_image(M, dict(c.terms))
     if sol is None:
         return None

@@ -92,7 +92,7 @@ def adx_star(split: IdealSplit, c: Cochain) -> Cochain:
             if j < 1 or not split.ideal.contains(j):
                 continue
             coef = None
-            for num_den, target in _bracket_terms(split.parent, x, j):
+            for num_den, target in split.parent.bracket(x, j):
                 if target == k:
                     coef = num_den
             if coef is None:
@@ -103,10 +103,6 @@ def adx_star(split: IdealSplit, c: Cochain) -> Cochain:
             new, s = srt
             out.add_term(new, f.mul(coeff, f.from_rational(coef * s)))
     return out
-
-
-def _bracket_terms(alg: GradedAlgebra, i: int, j: int):
-    return [(fr, k) for fr, k in alg.bracket(i, j)]
 
 
 def contraction_identity_check(split: IdealSplit, f: Cochain) -> bool:

@@ -168,23 +168,6 @@ class PrimeField(Field):
 QQ = Rationals()
 
 
-def make_scalar(field: Field, n: int, d: int = 1):
-    """Canonical representative of n/d in the field."""
-    return field.of(n, d)
-
-
-def arith(field: Field, op: str, a, b=None):
-    if op == "add":
-        return field.add(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "neg":
-        return field.neg(a)
-    if op == "inv":
-        return field.inv(a)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def parse_field(spec: str) -> Field:
     """Parse a field selection string: "q" or "fp:<prime>"."""
     spec = spec.strip().lower()

@@ -1,18 +1,18 @@
-"""Exact sparse linear algebra over the chosen field.
+"""Exact sparse linear algebra over Q and F_p.
 
 Rank, kernel bases and membership-in-image solving: the brute-force
-oracle behind every cohomology dimension.  Over Q all three are
-certified modular elimination: a sparse row echelon form modulo
-word-size primes, RREF kernel vectors (or the solution) rebuilt by
-Chinese remaindering and rational reconstruction, and an exact integer
-check before any result is returned (see _certified_kernel).  Over F_p
-the elimination runs dense through `rref_fp`, compiled from `_gauss`
-when available (MAXCLASS_PURE=1 forces the pure-Python fallback); the
-compiled kernel speeds up only F_p.
+oracle behind every cohomology dimension.  There is one elimination, in
+pure Python: a sparse row echelon form modulo a prime (dict rows taken
+sparsest first, pivot rows keyed by pivot column), with back
+substitution onto the free columns for kernel vectors and solutions.
+Over F_p it runs once, modulo p.  Over Q it is certified modular
+elimination: it runs modulo word-size primes, the RREF kernel vectors
+(or the solution) are rebuilt by Chinese remaindering and rational
+reconstruction, and nothing is returned before an exact integer check
+(see _certified_kernel).
 """
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
@@ -20,15 +20,7 @@ from math import gcd, isqrt, lcm
 
 from .fields import Field, _is_prime
 
-if os.environ.get("MAXCLASS_PURE"):
-    from . import _gauss_py as _kern
-else:
-    try:
-        from . import _gauss as _kern  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _gauss_py as _kern
-
-BACKEND = _kern.BACKEND
+BACKEND = "python"
 
 
 class DimensionMismatch(ValueError):
@@ -195,6 +187,14 @@ def _reduce(pivots: dict[int, dict[int, int]], p: int, free: set[int]):
     return {(c, f): y for c, row in reduced.items() for f, y in row.items()}
 
 
+def _free_columns(pivots, ncols: int, target: int | None) -> list[int]:
+    """The free columns whose kernel vectors are built: `target` alone
+    when it is free, else all of them."""
+    if target is not None and target not in pivots:
+        return [target]
+    return [c for c in range(ncols) if c not in pivots]
+
+
 def _rational(u: int, m: int, bound: int) -> Fraction | None:
     """The fraction a/b = u mod m with |a|, b <= bound, if there is one."""
     r0, r1, t0, t1 = m, u, 0, 1
@@ -208,8 +208,7 @@ def _rational(u: int, m: int, bound: int) -> Fraction | None:
 
 def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None):
     """Pivot columns over Q of the integer matrix with these sparse rows,
-    and its RREF kernel vectors keyed by column: for every free column,
-    or for `target` alone when it is free.
+    and its RREF kernel vectors keyed by column (see _free_columns).
 
     rank_p <= rank_Q for every prime p, so a prime with a lower rank or
     later pivots than another is dropped.  The vectors are accepted only
@@ -219,7 +218,6 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
     with `target` a pivot, it certifies rank_Q of the other columns and
     so that `target` is outside their span.  A failed check adds a prime.
     """
-    rows = sorted(rows, key=len)
     columns: dict[int, list[tuple[int, int]]] = {}
     for r, row in enumerate(rows):
         for c, a in row.items():
@@ -245,10 +243,7 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
         elif key > best:
             continue
         basis = independent
-        if target is not None and target not in echelon:
-            free = [target]
-        else:
-            free = [c for c in range(ncols) if c not in echelon]
+        free = _free_columns(echelon, ncols, target)
         step = _reduce(echelon, p, set(free))
         inv = pow(modulus, -1, p)
         for entry in residues.keys() | step.keys():
@@ -269,47 +264,54 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
     raise CertificationError("no prime left to certify the elimination")
 
 
+def _rows(M: SparseMatrix, rhs: dict[int, object] | None = None) -> list[dict[int, int]]:
+    """The nonzero rows of M, or of [M | rhs] with rhs keyed by row index,
+    as integer maps keyed by column, sparsest first; over Q each row is
+    scaled by the lcm of its denominators."""
+    by_row: dict[int, dict[int, object]] = {}
+    for (r, c), v in M.entries.items():
+        by_row.setdefault(r, {})[c] = v
+    for r, v in (rhs or {}).items():
+        by_row.setdefault(r, {})[M.cols] = v
+    rows = list(by_row.values())
+    if M.field.characteristic == 0:
+        for row in rows:
+            den = lcm(*(v.denominator for v in row.values()))
+            for c, v in row.items():
+                row[c] = v.numerator * (den // v.denominator)
+    return sorted(rows, key=len)
+
+
 def _kernel(M: SparseMatrix, rhs: dict[int, object] | None = None):
     """Pivot columns and RREF kernel vectors, keyed by column index, of M,
     or of [M | rhs] with rhs keyed by row index; with rhs, only the
     vector of the rhs column is built when that column is free."""
-    f = M.field
     ncols, target = (M.cols, None) if rhs is None else (M.cols + 1, M.cols)
-    if f.characteristic == 0:
-        by_row: dict[int, dict[int, object]] = {}
-        for (r, c), v in M.entries.items():
-            by_row.setdefault(r, {})[c] = v
-        for r, v in (rhs or {}).items():
-            by_row.setdefault(r, {})[M.cols] = v
-        rows = []
-        for row in by_row.values():
-            den = lcm(*(v.denominator for v in row.values()))
-            rows.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+    rows = _rows(M, rhs)
+    p = M.field.characteristic
+    if p == 0:
         return _certified_kernel(rows, ncols, target)
-    dense = M.to_dense()
-    if rhs is not None:
-        for r, row in enumerate(dense):
-            row.append(rhs.get(r, f.zero))
-    _, pivots = _kern.rref_fp(dense, ncols, f.characteristic)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    vectors = []
-    for fc in ([target] if target in free else free):
-        vec = {fc: f.one}
-        for r, pc in enumerate(pivots):
-            if not f.is_zero(dense[r][fc]):
-                vec[pc] = f.neg(dense[r][fc])
-        vectors.append(vec)
-    return pivots, vectors
+    echelon, _ = _echelon(rows, p)
+    free = _free_columns(echelon, ncols, target)
+    vectors = {f: {f: 1} for f in free}
+    for (c, f), y in sorted(_reduce(echelon, p, set(free)).items()):
+        vectors[f][c] = p - y
+    return sorted(echelon), list(vectors.values())
+
+
+def pivot_columns(M: SparseMatrix) -> list[int]:
+    """Pivot columns of the reduced row echelon form of M, ascending."""
+    if M.is_zero():
+        return []
+    p = M.field.characteristic
+    if p == 0:
+        return _kernel(M)[0]
+    return sorted(_echelon(_rows(M), p)[0])
 
 
 def rank(M: SparseMatrix) -> int:
     """Exact rank."""
-    if M.is_zero():
-        return 0
-    if M.field.characteristic == 0:
-        return len(_kernel(M)[0])
-    return _kern.rref_fp(M.to_dense(), M.cols, M.field.characteristic)[0]
+    return len(pivot_columns(M))
 
 
 def kernel_basis(M: SparseMatrix) -> KernelBasis:

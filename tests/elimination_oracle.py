@@ -1,10 +1,10 @@
-"""Reference elimination over Q for the tests: Bareiss integer rank and a
-dense Fraction RREF.
+"""Reference elimination for the tests: Bareiss integer rank and a dense
+Fraction RREF over Q, and a dense RREF over F_p.
 
-These are the two exact routes the library used before certified
-modular elimination; they stay here, slow and simple, as the oracle the
-modular engine is compared against.  Both pivot on the first nonzero
-entry in column order, so results are deterministic.
+These are the dense routes the library used before its one sparse
+engine; they stay here, slow and simple, as the oracle the engine is
+compared against.  All pivot on the first nonzero entry in column
+order, so results are deterministic.
 """
 from __future__ import annotations
 
@@ -76,6 +76,45 @@ def rref_fractions(rows: list[list], ncols: int) -> tuple[int, list[int]]:
     return rank, pivots
 
 
+def rref_fp(rows: list[list[int]], ncols: int, p: int) -> tuple[int, list[int]]:
+    """In-place RREF over F_p of a dense matrix of residues; returns
+    (rank, pivot cols)."""
+    m = len(rows)
+    rank = 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        piv = -1
+        for r in range(rank, m):
+            if rows[r][col] % p:
+                piv = r
+                break
+        if piv < 0:
+            continue
+        if piv != rank:
+            rows[piv], rows[rank] = rows[rank], rows[piv]
+        prow = rows[rank]
+        inv = pow(prow[col], -1, p)
+        for j in range(col, ncols):
+            prow[j] = prow[j] * inv % p
+        for r in range(m):
+            if r == rank:
+                continue
+            rv = rows[r][col] % p
+            if rv:
+                row = rows[r]
+                for j in range(col, ncols):
+                    row[j] = (row[j] - rv * prow[j]) % p
+        pivots.append(col)
+        rank += 1
+        if rank == m:
+            break
+    return rank, pivots
+
+
+def _rref(rows, ncols: int, p: int):
+    return rref_fp(rows, ncols, p) if p else rref_fractions(rows, ncols)
+
+
 def integer_rows(dense) -> list[list[int]]:
     """Each row of a rational matrix scaled by the lcm of its denominators."""
     out = []
@@ -85,25 +124,26 @@ def integer_rows(dense) -> list[list[int]]:
     return out
 
 
-def kernel(dense, ncols: int) -> list[dict[int, Fraction]]:
-    """RREF kernel vectors, keyed by column index: 1 at a free column,
-    minus the RREF entries at the pivot columns."""
+def kernel(dense, ncols: int, p: int = 0) -> list[dict[int, object]]:
+    """RREF kernel vectors, keyed by column index, over Q or (p > 0) over
+    F_p: 1 at a free column, minus the RREF entries at the pivot columns."""
     work = [list(r) for r in dense]
-    _, pivots = rref_fractions(work, ncols)
+    _, pivots = _rref(work, ncols, p)
     vectors = []
     for fc in range(ncols):
         if fc in pivots:
             continue
-        vec = {fc: Fraction(1)}
+        vec = {fc: 1 if p else Fraction(1)}
         for r, pc in enumerate(pivots):
             if work[r][fc]:
-                vec[pc] = -work[r][fc]
+                vec[pc] = -work[r][fc] % p if p else -work[r][fc]
         vectors.append(vec)
     return vectors
 
 
-def in_image(dense, ncols: int, rhs: list) -> bool:
-    """Whether the column rhs lies in the column space of dense."""
+def in_image(dense, ncols: int, rhs: list, p: int = 0) -> bool:
+    """Whether the column rhs lies in the column space of dense, over Q or
+    (p > 0) over F_p."""
     aug = [list(r) + [v] for r, v in zip(dense, rhs)]
-    _, pivots = rref_fractions(aug, ncols + 1)
+    _, pivots = _rref(aug, ncols + 1, p)
     return ncols not in pivots

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import maxclass
 from maxclass.algebra import (InvalidParameter, NotClosed, ParseError,
                               ValidationFailed, load_custom, preset,
                               subalgebra, validate)
@@ -101,6 +106,21 @@ def test_load_custom_roundtrip(tmp_path):
     from maxclass.algebra import load_custom_file
     alg2 = load_custom_file(str(path))
     assert alg2.bracket(2, 3) == [(1, 5)]
+
+
+def test_custom_key_is_the_same_in_every_process():
+    """The key of a custom algebra must not depend on the per-process
+    salt of hash()."""
+    src = str(Path(maxclass.__file__).resolve().parents[1])
+    script = ("import json, sys; from maxclass.algebra import load_custom; "
+              "print(load_custom(json.loads(sys.argv[1])).key)")
+    keys = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(CUSTOM)],
+                              env=env, capture_output=True, text=True, timeout=60, check=True)
+        keys.add(proc.stdout.strip())
+    assert keys == {load_custom(CUSTOM).key}
 
 
 def test_load_custom_rejects_bad_grading():

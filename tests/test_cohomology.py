@@ -74,6 +74,27 @@ def test_representatives_are_closed_and_independent():
             assert not exact
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+@pytest.mark.parametrize("name, q, k", [("m0", 3, 15), ("m0", 3, 21), ("m2", 3, 15),
+                                        ("l1", 3, 15)])
+def test_representatives_are_a_basis_modulo_the_image(name, q, k, field):
+    """Jointly independent modulo exact forms: the class coordinates of
+    the i-th representative are the i-th unit vector.  Each has
+    coefficient 1 on its last monomial, and 0 on the last monomial of
+    every d e^m."""
+    alg = preset(name)
+    reps = representatives(alg, q, k, field)
+    assert len(reps) == betti(alg, q, k, field) >= 1
+    coboundary_lasts = {max(d.terms) for m in basis(alg, q - 1, k)
+                        if not (d := differential(alg, Cochain.monomial(field, m))).is_zero()}
+    for i, c in enumerate(reps):
+        assert differential(alg, c).is_zero()
+        assert c.terms[max(c.terms)] == field.one
+        assert not coboundary_lasts & c.terms.keys()
+        unit = [field.one if j == i else field.zero for j in range(len(reps))]
+        assert class_coordinates(alg, c, reps, q, k, field) == unit
+
+
 def test_is_exact_witness():
     m0 = preset("m0")
     c = Cochain.monomial(QQ, (1, 2))  # = d e^3

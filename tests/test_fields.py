@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxclass.fields import (QQ, DivisionByZero, PrimalityUndecided, PrimeField,
-                             _is_prime, make_scalar, parse_field)
+                             _is_prime, parse_field)
 
 
 def test_rational_basics():
@@ -77,8 +77,8 @@ def test_reduction_is_ring_hom(a, b, c, d):
 
 
 def test_make_scalar():
-    assert make_scalar(QQ, 2, 4) == Fraction(1, 2)
-    assert make_scalar(PrimeField(5), 2, 4) == 3
+    assert QQ.of(2, 4) == Fraction(1, 2)
+    assert PrimeField(5).of(2, 4) == 3
 
 
 def test_large_prime_field_parses_quickly():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxclass import linalg
-from maxclass._gauss_py import rref_fp as rref_fp_py
 from maxclass.algebra import preset
 from maxclass.cochain import differential_matrix
 from maxclass.fields import QQ, PrimeField, _is_prime
@@ -12,13 +11,6 @@ from maxclass.linalg import (CertificationError, SparseMatrix, kernel_basis, ran
                              solve_in_image)
 
 import elimination_oracle as oracle
-from elimination_oracle import rank_int as rank_int_py
-
-try:
-    from maxclass._gauss import rank_int as rank_int_c, rref_fp as rref_fp_c
-    HAVE_EXT = True
-except ImportError:
-    HAVE_EXT = False
 
 
 def dense_matrix(field, rows):
@@ -81,25 +73,6 @@ def test_transpose_and_matmul():
     assert N.to_dense()[1][1] == Fraction(20)
 
 
-@pytest.mark.skipif(not HAVE_EXT, reason="compiled kernels unavailable")
-@settings(max_examples=60)
-@given(st.integers(1, 6), st.integers(1, 6), st.data())
-def test_backends_agree_rank_int(m, n, data):
-    rows = [[data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(m)]
-    assert rank_int_py([r[:] for r in rows], n) == rank_int_c([r[:] for r in rows], n)
-
-
-@pytest.mark.skipif(not HAVE_EXT, reason="compiled kernels unavailable")
-@settings(max_examples=60)
-@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([2, 3, 5, 97]),
-       st.data())
-def test_backends_agree_rref_fp(m, n, p, data):
-    rows = [[data.draw(st.integers(0, p - 1)) for _ in range(n)] for _ in range(m)]
-    r1, piv1 = rref_fp_py([r[:] for r in rows], n, p)
-    r2, piv2 = rref_fp_c([r[:] for r in rows], n, p)
-    assert (r1, list(piv1)) == (r2, list(piv2))
-
-
 @settings(max_examples=40)
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_rank_matches_fraction_rref(m, n, data):
@@ -125,7 +98,7 @@ def test_rank_matches_fraction_rref(m, n, data):
 
 
 def test_backend_name_exported():
-    assert linalg.BACKEND in ("cython", "python")
+    assert linalg.BACKEND == "python"
 
 
 def test_no_float_reaches_a_result():
@@ -278,3 +251,65 @@ def test_real_cell_against_bareiss():
     assert rank(D) == oracle.rank_int(oracle.integer_rows(dense), D.cols)
     assert [{D.col_labels.index(m): x for m, x in vec.items()} for vec in kernel_basis(D)] \
         == oracle.kernel(dense, D.cols)
+
+
+# --- elimination over F_p against the dense oracle ---------------------------
+
+PRIMES = [2, 3, 5, 97, 2 ** 31 - 1]
+
+
+@st.composite
+def fp_matrices(draw, max_rows=6, max_cols=6):
+    """A prime from PRIMES and a random small matrix of residues: plain,
+    or a product of two factors of small inner size, so that kernels are
+    common also for large p."""
+    p = draw(st.sampled_from(PRIMES))
+    m, n = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+
+    def residues(rows, cols):
+        return draw(st.lists(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        return p, residues(m, n)
+    inner = draw(st.integers(1, 3))
+    a, b = residues(m, inner), residues(inner, n)
+    return p, [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fp_matrices())
+def test_fp_rank_and_kernel_match_oracle(case):
+    p, dense = case
+    n = len(dense[0])
+    M = dense_matrix(PrimeField(p), dense)
+    assert rank(M) == oracle.rref_fp([r[:] for r in dense], n, p)[0]
+    assert list(kernel_basis(M)) == oracle.kernel(dense, n, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fp_matrices(), st.data())
+def test_fp_solve_in_image_matches_oracle(case, data):
+    p, dense = case
+    m, n = len(dense), len(dense[0])
+    residue = st.integers(0, p - 1)
+    if data.draw(st.booleans()):
+        # a vector in the image, possibly zero
+        u0 = [data.draw(residue) for _ in range(n)]
+        rhs = [sum(x * y for x, y in zip(row, u0)) % p for row in dense]
+    else:
+        rhs = [data.draw(residue) for _ in range(m)]
+    sol = solve_in_image(dense_matrix(PrimeField(p), dense), {r: x for r, x in enumerate(rhs) if x})
+    assert (sol is not None) == oracle.in_image(dense, n, rhs, p)
+    if sol is not None:
+        assert [sum(row[c] * x for c, x in sol.items()) % p for row in dense] == rhs
+
+
+def test_largest_fp_cell_against_dense_rref():
+    """l1 (3, 46) over F_(2^31 - 1), the largest cell of the F_p tables."""
+    p = 2 ** 31 - 1
+    D = differential_matrix(preset("l1"), 3, 46, PrimeField(p))
+    expected = oracle.kernel(D.to_dense(), D.cols, p)
+    assert rank(D) == D.cols - len(expected)
+    assert [{D.col_labels.index(m): x for m, x in vec.items()} for vec in kernel_basis(D)] \
+        == expected
