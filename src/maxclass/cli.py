@@ -8,6 +8,7 @@ cross-check suites).  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -129,14 +130,12 @@ def cmd_verify(args) -> int:
     if suite is None:
         raise UsageError(f"unknown suite {args.suite!r}; "
                          f"choose from {', '.join(sorted(SUITES))}")
-    kwargs = {}
-    if args.suite in ("goncharova", "gf", "dixmier", "laplacian"):
-        if args.qmax is not None:
-            kwargs["qmax"] = args.qmax
-        if args.kmax is not None:
-            kwargs["kmax"] = args.kmax
-    elif args.suite == "euler" and args.kmax is not None:
-        kwargs["kmax"] = args.kmax
+    kwargs = {flag: getattr(args, flag) for flag in ("qmax", "kmax")
+              if getattr(args, flag) is not None}
+    ignored = sorted(set(kwargs) - set(inspect.signature(suite).parameters))
+    if ignored:
+        raise UsageError(f"suite {args.suite!r} does not take "
+                         + ", ".join(f"--{flag}" for flag in ignored))
     report = suite(**kwargs)
     if args.format == "json":
         _emit(report.to_json(), args.out)
@@ -168,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("cocycle", help="explicit closed cochains")
-    common(p, algebra=True)
+    common(p, algebra=False)
     p.add_argument("--omega", default=None, help="comma-separated indices")
     p.add_argument("--w", default=None, help="comma-separated indices (m2)")
     p.set_defaults(func=cmd_cocycle)

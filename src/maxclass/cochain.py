@@ -8,6 +8,7 @@ the graded Leibniz rule, so it preserves weight and raises degree by 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .algebra import GradedAlgebra
 from .fields import QQ, Field
@@ -128,82 +129,103 @@ def wedge(a: Cochain, b: Cochain) -> Cochain:
     return out
 
 
-def basis(alg: GradedAlgebra, q: int, k: int) -> list[Monomial]:
-    """All strictly increasing q-tuples of generators with index sum k,
-    in lexicographic order."""
-    if q < 0 or k < 0:
+def increasing_tuples(indices, q: int, k: int) -> list[Monomial]:
+    """All strictly increasing q-tuples drawn from the ascending integer
+    sequence `indices` with sum k, in lexicographic order."""
+    if q < 0:
         return []
-    if q == 0:
-        return [()] if k == 0 else []
-    gens = alg.generators_up_to(k)
+    pool = list(indices)
     out: list[Monomial] = []
 
     def extend(prefix, start, remaining, slots):
         if slots == 0:
             if remaining == 0:
-                out.append(tuple(prefix))
+                out.append(prefix)
             return
-        for pos in range(start, len(gens)):
-            i = gens[pos]
-            # smallest completion: i < following slots strictly increase
-            low = slots * i + slots * (slots - 1) // 2
-            if low > remaining:
+        for pos in range(start, len(pool)):
+            i = pool[pos]
+            # smallest completion: i followed by i+1, ..., i+slots-1
+            if slots * i + slots * (slots - 1) // 2 > remaining:
                 break
-            extend(prefix + [i], pos + 1, remaining - i, slots - 1)
+            extend(prefix + (i,), pos + 1, remaining - i, slots - 1)
 
-    extend([], 0, k, q)
+    extend((), 0, k, q)
     return out
 
 
-def generator_differential(alg: GradedAlgebra, idx: int, field: Field) -> Cochain:
-    """d e^k = sum over i<j with [e_i, e_j] having an e_k component."""
-    out = Cochain(field)
-    for i in alg.generators_up_to(idx):
-        j = idx - i
-        if j <= i or not alg.contains(j):
-            continue
-        for coeff, k in alg.bracket(i, j):
-            if k == idx:
-                out.add_term((i, j), field.from_rational(coeff))
+def basis(alg: GradedAlgebra, q: int, k: int) -> list[Monomial]:
+    """All strictly increasing q-tuples of generators with index sum k,
+    in lexicographic order."""
+    return increasing_tuples(alg.generators_up_to(k), q, k)
+
+
+def derive(c: Cochain, images) -> Cochain:
+    """Extend a map on generators to a derivation of the exterior algebra.
+
+    images(i) lists (coefficient, index tuple) pairs, the image of e^i;
+    coefficients are field elements (the integer 1 is one in every
+    field).  Each position t of each monomial is replaced in turn by
+    each image tuple, the result is sorted with its permutation sign,
+    and the term takes the Koszul sign (-1)^(t * (len(tuple) - 1)):
+    none for an even derivation (1-tuples), (-1)^t for the differential
+    (pairs) and for the interior product (the empty tuple)."""
+    f = c.field
+    out = Cochain(f)
+    for mono, coeff in c.terms.items():
+        for t, i in enumerate(mono):
+            head, tail = mono[:t], mono[t + 1:]
+            for v, new in images(i):
+                srt = sort_with_sign(head + new + tail)
+                if srt is None:
+                    continue
+                m, sign = srt
+                if t * (len(new) - 1) % 2:
+                    sign = -sign
+                term = f.mul(coeff, v)
+                out.add_term(m, term if sign > 0 else f.neg(term))
     return out
+
+
+def map_matrix(field: Field, source, target, fn) -> SparseMatrix:
+    """Matrix of a linear map between spans of monomials: column j holds
+    the coordinates of fn(source[j]) in the monomial basis target, where
+    fn takes and returns cochains."""
+    row_index = {m: r for r, m in enumerate(target)}
+    entries: dict[tuple[int, int], object] = {}
+    for j, mono in enumerate(source):
+        for m, v in fn(Cochain(field, {mono: field.one})).terms.items():
+            entries[(row_index[m], j)] = v
+    return SparseMatrix(field, len(target), len(source), entries,
+                        row_labels=target, col_labels=source)
+
+
+def _generator_images(alg: GradedAlgebra, field: Field):
+    """i -> d e^i as (coefficient, (a, i - a)) with a < i - a, each
+    computed once per returned map."""
+    @cache
+    def images(i):
+        out = []
+        for a in alg.generators_up_to((i - 1) // 2):
+            if alg.contains(i - a):
+                for coeff, k in alg.bracket(a, i - a):
+                    v = field.from_rational(coeff)
+                    if k == i and not field.is_zero(v):
+                        out.append((v, (a, i - a)))
+        return out
+    return images
 
 
 def differential(alg: GradedAlgebra, c: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential, extended by the Leibniz rule."""
-    f = c.field
-    out = Cochain(f)
-    for mono, coeff in c.terms.items():
-        for t, idx in enumerate(mono):
-            dgen = generator_differential(alg, idx, f)
-            if dgen.is_zero():
-                continue
-            sign = -1 if t % 2 else 1
-            rest = mono[:t] + mono[t + 1:]
-            for pair, pc in dgen.terms.items():
-                srt = sort_with_sign(pair + rest)
-                if srt is None:
-                    continue
-                new, s = srt
-                total = f.mul(coeff, pc)
-                if sign * s < 0:
-                    total = f.neg(total)
-                out.add_term(new, total)
-    return out
+    return derive(c, _generator_images(alg, c.field))
 
 
 def differential_matrix(alg: GradedAlgebra, q: int, k: int,
                         field: Field = QQ) -> SparseMatrix:
     """Matrix of d restricted to degree q, weight k, in lexicographic bases."""
-    cols = basis(alg, q, k)
-    rows = basis(alg, q + 1, k)
-    row_index = {m: r for r, m in enumerate(rows)}
-    entries: dict[tuple[int, int], object] = {}
-    for cidx, mono in enumerate(cols):
-        image = differential(alg, Cochain.monomial(field, mono))
-        for m, c in image.terms.items():
-            entries[(row_index[m], cidx)] = c
-    return SparseMatrix(field, len(rows), len(cols), entries,
-                        row_labels=rows, col_labels=cols)
+    images = _generator_images(alg, field)
+    return map_matrix(field, basis(alg, q, k), basis(alg, q + 1, k),
+                      lambda c: derive(c, images))
 
 
 def _term_order(mono: Monomial):

@@ -159,7 +159,7 @@ def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
 def euler_characteristic(alg: GradedAlgebra, k: int, qbound: int | None = None,
                          field: Field = QQ) -> int:
     """Alternating sums over degree of cochain dims and of Betti numbers;
-    both are computed and must agree."""
+    both are computed, and RouteMismatch is raised if they disagree."""
     if qbound is None:
         qbound = k if k > 0 else 1
     chi_cochain = 0
@@ -169,6 +169,6 @@ def euler_characteristic(alg: GradedAlgebra, k: int, qbound: int | None = None,
         chi_cochain += sign * len(basis(alg, q, k))
         chi_betti += sign * betti(alg, q, k, field)
     if chi_cochain != chi_betti:
-        raise AssertionError(
+        raise RouteMismatch(
             f"Euler sums disagree at k={k}: cochain {chi_cochain}, betti {chi_betti}")
     return chi_cochain

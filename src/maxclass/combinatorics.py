@@ -7,20 +7,21 @@ All coefficients are plain integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
 def partitions_P(q: int, k: int) -> int:
     """Number of partitions of k into exactly q positive parts."""
     if q < 0 or k < 0:
         return 0
-    if q == 0:
-        return 1 if k == 0 else 0
-    if k < q:
+    # strip 1 off each part: partitions of k - q into parts of size <= q
+    n = k - q
+    if n < 0:
         return 0
-    # P_q(k) = P_{q-1}(k-1) + P_q(k-q): smallest part 1 or strip 1 off each part
-    return partitions_P(q - 1, k - 1) + partitions_P(q, k - q)
+    ways = [1] + [0] * n
+    for part in range(1, q + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return ways[n]
 
 
 def distinct_V(q: int, k: int) -> int:
@@ -30,16 +31,23 @@ def distinct_V(q: int, k: int) -> int:
     return partitions_P(q, k - q * (q - 1) // 2)
 
 
-@lru_cache(maxsize=None)
 def bounded_distinct_V(q: int, bound: int, N: int) -> int:
     """Partitions of N into q distinct parts taken from {1, ..., bound}."""
     if q < 0 or N < 0 or bound < 0:
         return 0
-    if q == 0:
-        return 1 if N == 0 else 0
-    if bound == 0:
+    # a_1 < ... < a_q minus (1, ..., q) is a partition of n into at most q
+    # parts of size <= m, counted by the t^n coefficient of the Gaussian
+    # binomial [m + q, q] = prod_{i=1}^{q} (1 - t^(m+i)) / (1 - t^i)
+    n, m = N - q * (q + 1) // 2, bound - q
+    if n < 0 or m < 0:
         return 0
-    return bounded_distinct_V(q, bound - 1, N) + bounded_distinct_V(q - 1, bound - 1, N - bound)
+    coeffs = [1] + [0] * n
+    for i in range(1, q + 1):
+        for e in range(n, m + i - 1, -1):
+            coeffs[e] -= coeffs[e - m - i]
+        for e in range(i, n + 1):
+            coeffs[e] += coeffs[e - i]
+    return coeffs[n]
 
 
 def pentagonal(q: int) -> tuple[int, int]:

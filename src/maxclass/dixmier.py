@@ -11,10 +11,11 @@ outgoing rank at every node.
 from __future__ import annotations
 
 import json
+from functools import cache
 
 from . import linalg
 from .algebra import GradedAlgebra, preset, subalgebra
-from .cochain import Cochain, basis, differential, sort_with_sign
+from .cochain import Cochain, derive, differential, wedge
 from .cohomology import betti, class_coordinates, representatives
 from .fields import QQ, Field
 
@@ -44,34 +45,17 @@ def m2_split() -> IdealSplit:
 def contract(split: IdealSplit, f: Cochain) -> Cochain:
     """Interior product of f with the distinguished generator e_x."""
     x = split.x_index
-    out = Cochain(f.field)
-    for mono, coeff in f.terms.items():
-        if x in mono:
-            t = mono.index(x)
-            rest = mono[:t] + mono[t + 1:]
-            c = coeff if t % 2 == 0 else f.field.neg(coeff)
-            out.add_term(rest, c)
-    return out
+    return derive(f, lambda i: [(1, ())] if i == x else [])
 
 
 def split_form(split: IdealSplit, f: Cochain):
     """f = e^x ^ f' + f'' with f'' free of the e^x factor."""
-    x = split.x_index
-    f_prime = contract(split, f)
-    f_dblprime = Cochain(f.field, {m: v for m, v in f.terms.items() if x not in m})
-    return f_prime, f_dblprime
+    return contract(split, f), restrict(split, f)
 
 
 def x_wedge(split: IdealSplit, c: Cochain) -> Cochain:
     """Wedge with the 1-form dual to the distinguished generator."""
-    x = split.x_index
-    out = Cochain(c.field)
-    for mono, coeff in c.terms.items():
-        srt = sort_with_sign((x,) + mono)
-        if srt is not None:
-            new, s = srt
-            out.add_term(new, coeff if s == 1 else c.field.neg(coeff))
-    return out
+    return wedge(Cochain.monomial(c.field, (split.x_index,)), c)
 
 
 def restrict(split: IdealSplit, f: Cochain) -> Cochain:
@@ -85,24 +69,15 @@ def adx_star(split: IdealSplit, c: Cochain) -> Cochain:
     component goes to sum_j (coefficient of e_k in [e_x, e_j]) e^j."""
     f = c.field
     x = split.x_index
-    out = Cochain(f)
-    for mono, coeff in c.terms.items():
-        for t, k in enumerate(mono):
-            j = k - x
-            if j < 1 or not split.ideal.contains(j):
-                continue
-            coef = None
-            for num_den, target in split.parent.bracket(x, j):
-                if target == k:
-                    coef = num_den
-            if coef is None:
-                continue
-            srt = sort_with_sign(mono[:t] + (j,) + mono[t + 1:])
-            if srt is None:
-                continue
-            new, s = srt
-            out.add_term(new, f.mul(coeff, f.from_rational(coef * s)))
-    return out
+
+    @cache
+    def images(k):
+        j = k - x
+        if j < 1 or not split.ideal.contains(j):
+            return []
+        return [(f.from_rational(coeff), (j,))
+                for coeff, target in split.parent.bracket(x, j) if target == k]
+    return derive(c, images)
 
 
 def contraction_identity_check(split: IdealSplit, f: Cochain) -> bool:
@@ -145,7 +120,7 @@ class ExactnessReport:
         return f"ExactnessReport({self.split!r}, q<={self.qmax}, k<={self.kmax}: {state})"
 
 
-def _map_matrix(field: Field, source_reps, target_reps, target_alg, q, k, images):
+def _coordinate_matrix(field: Field, source_reps, target_reps, target_alg, q, k, images):
     """Coordinates of each image in the target representative basis;
     returns (matrix, ok)."""
     entries = {}
@@ -184,16 +159,16 @@ def verify_exactness(split: IdealSplit, qmax: int, kmax: int,
             src = reps(ideal, q, k - w)
             tgt = reps(parent, q + 1, k)
             images = [x_wedge(split, c) for c in src]
-            return _map_matrix(field, src, tgt, parent, q + 1, k, images)
+            return _coordinate_matrix(field, src, tgt, parent, q + 1, k, images)
         if kind == "restrict":
             src = reps(parent, q, k)
             tgt = reps(ideal, q, k)
             images = [restrict(split, c) for c in src]
-            return _map_matrix(field, src, tgt, ideal, q, k, images)
+            return _coordinate_matrix(field, src, tgt, ideal, q, k, images)
         src = reps(ideal, q, k)
         tgt = reps(ideal, q, k - w)
         images = [adx_star(split, c) for c in src]
-        return _map_matrix(field, src, tgt, ideal, q, k - w, images)
+        return _coordinate_matrix(field, src, tgt, ideal, q, k - w, images)
 
     def record(label, q, k, dim, rank_in, rank_out, composite_ok):
         nonlocal first_failure

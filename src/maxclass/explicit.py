@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import GradedAlgebra, preset
-from .cochain import Cochain, Monomial, differential, sort_with_sign, wedge
+from .cochain import Cochain, Monomial, derive, differential, wedge
 from .fields import QQ, Field
 
 
@@ -39,34 +39,18 @@ class NoLeadingTerm(ValueError):
 # ---------------------------------------------------------------------------
 # derivations
 
-def _derive(c: Cochain, rule) -> Cochain:
-    """Extend an index rule (i -> list of (coeff_num, j)) as an even
-    degree-zero derivation: one position replaced at a time, no signs."""
-    f = c.field
-    out = Cochain(f)
-    for mono, coeff in c.terms.items():
-        for t, idx in enumerate(mono):
-            for num, j in rule(idx):
-                srt = sort_with_sign(mono[:t] + (j,) + mono[t + 1:])
-                if srt is None:
-                    continue
-                new, sign = srt
-                out.add_term(new, f.mul(coeff, f.of(num * sign)))
-    return out
-
-
 def d1_apply(c: Cochain, mode: str = "m0") -> Cochain:
     """ad e1^* as a derivation.  mode "m0": kills e^2; mode "m2": acts
     on the ideal spanned by e^1, e^3, e^4, ... and kills e^1 and e^3."""
     if mode == "m0":
         def rule(i):
-            return [] if i <= 2 else [(1, i - 1)]
+            return [] if i <= 2 else [(1, (i - 1,))]
     elif mode == "m2":
         def rule(i):
-            return [] if i in (1, 3) else [(1, i - 1)]
+            return [] if i in (1, 3) else [(1, (i - 1,))]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _derive(c, rule)
+    return derive(c, rule)
 
 
 def d2_apply(c: Cochain) -> Cochain:
@@ -75,13 +59,43 @@ def d2_apply(c: Cochain) -> Cochain:
         if i in (1, 4):
             return []
         if i == 3:
-            return [(1, 1)]
-        return [(1, i - 2)]
-    return _derive(c, rule)
+            return [(1, (1,))]
+        return [(1, (i - 2,))]
+    return derive(c, rule)
 
 
 def d2_plus_d1sq(c: Cochain) -> Cochain:
     return d2_apply(c) + d1_apply(d1_apply(c, "m2"), "m2")
+
+
+def _check_indices(indices, floor: int) -> tuple:
+    indices = tuple(indices)
+    if not indices or any(b <= a for a, b in zip(indices, indices[1:])):
+        raise InvalidIndices(f"{indices} is not strictly increasing")
+    if indices[0] < floor:
+        raise InvalidIndices(f"index {indices[0]} below generator floor {floor}")
+    return indices
+
+
+def _expand(xi: Cochain, step, stage) -> Cochain:
+    """sum over l >= 0 of stage(l, step^l(xi)), until step^l(xi) is zero."""
+    out = Cochain(xi.field)
+    l = 0
+    while not xi.is_zero():
+        for m, v in stage(l, xi).terms.items():
+            out.add_term(m, v)
+        xi = step(xi)
+        l += 1
+    return out
+
+
+def _omega_sum(xi: Cochain, top: int, mode: str = "m0") -> Cochain:
+    """sum_l (-1)^l D1^l(xi) ^ e^{top+1+l}."""
+    f = xi.field
+
+    def stage(l, x):
+        return wedge(x, Cochain.monomial(f, (top + 1 + l,), f.of(-1 if l % 2 else 1)))
+    return _expand(xi, lambda x: d1_apply(x, mode), stage)
 
 
 def d_minus1(c: Cochain) -> Cochain:
@@ -90,18 +104,8 @@ def d_minus1(c: Cochain) -> Cochain:
     f = c.field
     out = Cochain(f)
     for mono, coeff in c.terms.items():
-        xi = Cochain.monomial(f, mono[:-1], coeff)
-        top = mono[-1]
-        l = 0
-        while not xi.is_zero():
-            sign = f.of(-1 if l % 2 else 1)
-            for m2, v in xi.terms.items():
-                srt = sort_with_sign(m2 + (top + 1 + l,))
-                if srt is not None:
-                    new, s = srt
-                    out.add_term(new, f.mul(v, f.mul(sign, f.of(s))))
-            xi = d1_apply(xi)
-            l += 1
+        for m, v in _omega_sum(Cochain.monomial(f, mono[:-1], coeff), mono[-1]).terms.items():
+            out.add_term(m, v)
     return out
 
 
@@ -113,27 +117,9 @@ def omega(indices, field: Field = QQ, floor: int = 2) -> Cochain:
     e^{i_q+1+l}: an explicitly closed (q+1)-cochain.  floor selects the
     bottom generator (2 for the m0 ideal, 3 for the shifted copy inside
     m2, where D1 additionally kills e^3)."""
-    indices = tuple(indices)
-    if not indices or any(b <= a for a, b in zip(indices, indices[1:])):
-        raise InvalidIndices(f"{indices} is not strictly increasing")
-    if indices[0] < floor:
-        raise InvalidIndices(f"index {indices[0]} below generator floor {floor}")
-    f = field
-    mode = "m0" if floor == 2 else "m2"
-    xi = Cochain.monomial(f, indices)
-    top = indices[-1]
-    out = Cochain(f)
-    l = 0
-    while not xi.is_zero():
-        sign = f.of(-1 if l % 2 else 1)
-        for mono, v in xi.terms.items():
-            srt = sort_with_sign(mono + (top + 1 + l,))
-            if srt is not None:
-                new, s = srt
-                out.add_term(new, f.mul(v, f.mul(sign, f.of(s))))
-        xi = d1_apply(xi, mode)
-        l += 1
-    return out
+    indices = _check_indices(indices, floor)
+    return _omega_sum(Cochain.monomial(field, indices), indices[-1],
+                      "m0" if floor == 2 else "m2")
 
 
 def omega_map(c: Cochain, floor: int = 2):
@@ -177,10 +163,7 @@ def cup_formula(a, b, field: Field = QQ) -> Cochain:
     """Product of the classes of omega(a) and omega(b) written again in
     terms of omega cochains (a's last index must not exceed b's).  The
     result is cohomologous to wedge(omega(a), omega(b))."""
-    a, b = tuple(a), tuple(b)
-    for t in (a, b):
-        if not t or any(y <= x for x, y in zip(t, t[1:])) or t[0] < 2:
-            raise InvalidIndices(f"bad index tuple {t}")
+    a, b = _check_indices(a, 2), _check_indices(b, 2)
     i, j = a[-1], b[-1]
     if i > j:
         raise InvalidIndices("first tuple must end no higher than the second")
@@ -240,36 +223,29 @@ def _require_odd_characteristic(field: Field):
         raise CharacteristicTwo("construction divides by 2")
 
 
+def _w_sum(indices, field: Field, floor: int, halves: int) -> Cochain:
+    """sum_l omega_map((D2 + D1^2)^l(e^{i_1}^...^e^{i_q}) ^ e^{i_q+1+l} ^
+    e^{i_q+2+l}, floor) / 2^(l + halves)."""
+    indices = _check_indices(indices, 3)
+    _require_odd_characteristic(field)
+    f = field
+    top = indices[-1]
+
+    def stage(l, x):
+        pair = Cochain.monomial(f, (top + 1 + l, top + 2 + l),
+                                f.from_rational(Fraction(1, 2 ** (l + halves))))
+        return omega_map(wedge(x, pair), floor)[0]
+    return _expand(Cochain.monomial(f, indices), d2_plus_d1sq, stage)
+
+
 def w_cocycle(indices, field: Field = QQ) -> Cochain:
     """w(i_1, ..., i_q) = sum_l (1/2^l) omega_map((D2 + D1^2)^l
     (e^{i_1}^...^e^{i_q}) ^ e^{i_q+1+l} ^ e^{i_q+2+l}) in the m2
     complex; terms that fall out of the generator range are dropped and
     the result is checked to be closed."""
-    indices = tuple(indices)
-    if not indices or any(b <= a for a, b in zip(indices, indices[1:])):
-        raise InvalidIndices(f"{indices} is not strictly increasing")
-    if indices[0] < 3:
-        raise InvalidIndices("first index must be at least 3")
-    _require_odd_characteristic(field)
-    f = field
-    xi = Cochain.monomial(f, indices)
-    top = indices[-1]
-    out = Cochain(f)
-    l = 0
-    while not xi.is_zero():
-        coef = f.from_rational(Fraction(1, 2 ** l))
-        stage = Cochain(f)
-        for mono, v in xi.terms.items():
-            srt = sort_with_sign(mono + (top + 1 + l, top + 2 + l))
-            if srt is not None:
-                new, s = srt
-                stage.add_term(new, f.mul(v, f.of(s)))
-        mapped, _ = omega_map(stage, floor=2)
-        out = out + mapped.scaled(coef)
-        xi = d2_plus_d1sq(xi)
-        l += 1
+    out = _w_sum(indices, field, 2, 0)
     if not differential(preset("m2"), out).is_zero():
-        raise ClosednessFailed(f"w construction not closed at {indices}")
+        raise ClosednessFailed(f"w construction not closed at {tuple(indices)}")
     return out
 
 
@@ -277,27 +253,4 @@ def d_minus2_class(indices, field: Field = QQ) -> Cochain:
     """Partial right inverse of ad e2^* at the class level, built over
     the shifted ideal (generator floor 3): applying ad e2^* to the
     result gives minus the class of omega(indices, floor=3)."""
-    indices = tuple(indices)
-    if not indices or any(b <= a for a, b in zip(indices, indices[1:])):
-        raise InvalidIndices(f"{indices} is not strictly increasing")
-    if indices[0] < 3:
-        raise InvalidIndices("first index must be at least 3")
-    _require_odd_characteristic(field)
-    f = field
-    xi = Cochain.monomial(f, indices)
-    top = indices[-1]
-    out = Cochain(f)
-    l = 0
-    while not xi.is_zero():
-        coef = f.from_rational(Fraction(1, 2 ** (l + 1)))
-        stage = Cochain(f)
-        for mono, v in xi.terms.items():
-            srt = sort_with_sign(mono + (top + 1 + l, top + 2 + l))
-            if srt is not None:
-                new, s = srt
-                stage.add_term(new, f.mul(v, f.of(s)))
-        mapped, _ = omega_map(stage, floor=3)
-        out = out + mapped.scaled(coef)
-        xi = d2_plus_d1sq(xi)
-        l += 1
-    return out
+    return _w_sum(indices, field, 3, 1)

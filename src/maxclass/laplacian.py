@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import GradedAlgebra
-from .cochain import Cochain, basis, differential_matrix, sort_with_sign
+from .cochain import Cochain, derive, differential_matrix
 from .cohomology import RouteMismatch, betti
+from .explicit import d1_apply
 from .fields import QQ, Field
 
 
@@ -73,31 +74,7 @@ def harmonic_basis(alg: GradedAlgebra, q: int, k: int,
 def _d1_star(c: Cochain) -> Cochain:
     """Transpose of the index-lowering derivation: e^i -> e^{i+1} for
     i >= 2, extended as an even derivation (no e^1 in the domain)."""
-    f = c.field
-    out = Cochain(f)
-    for mono, coeff in c.terms.items():
-        for t, i in enumerate(mono):
-            srt = sort_with_sign(mono[:t] + (i + 1,) + mono[t + 1:])
-            if srt is None:
-                continue
-            new, s = srt
-            out.add_term(new, coeff if s == 1 else f.neg(coeff))
-    return out
-
-
-def _d1(c: Cochain) -> Cochain:
-    f = c.field
-    out = Cochain(f)
-    for mono, coeff in c.terms.items():
-        for t, i in enumerate(mono):
-            if i <= 2:
-                continue
-            srt = sort_with_sign(mono[:t] + (i - 1,) + mono[t + 1:])
-            if srt is None:
-                continue
-            new, s = srt
-            out.add_term(new, coeff if s == 1 else f.neg(coeff))
-    return out
+    return derive(c, lambda i: [(1, (i + 1,))])
 
 
 def m0_structure_check(alg: GradedAlgebra, form: Cochain) -> bool:
@@ -114,8 +91,8 @@ def m0_structure_check(alg: GradedAlgebra, form: Cochain) -> bool:
     lhs = laplacian_apply(alg, form)
     if has_one:
         xi = Cochain(f, {m[1:]: v for m, v in form.terms.items()})
-        inner = _d1(_d1_star(xi))
+        inner = d1_apply(_d1_star(xi))
         rhs = Cochain(f, {(1,) + m: v for m, v in inner.terms.items()})
     else:
-        rhs = _d1_star(_d1(form))
+        rhs = _d1_star(d1_apply(form))
     return lhs == rhs

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
+from .cochain import derive, increasing_tuples, map_matrix
 from .fields import QQ, Field
 
 
@@ -34,11 +35,6 @@ class Sl2Module:
         if rescaled and self.lam.denominator == 1 and self.lam >= 0:
             raise InvalidLambda(
                 f"lambda = {lam} is a nonnegative integer; rescaling divides by lambda - l + 1")
-
-    def indices(self):
-        if self.dim is None:
-            raise ValueError("infinite module: bound the indices at the call site")
-        return range(self.dim)
 
     def in_range(self, i: int) -> bool:
         return i >= 0 and (self.dim is None or i < self.dim)
@@ -93,49 +89,17 @@ def act(mod: Sl2Module, g: str, c: dict) -> dict:
 def wedge_basis(mod: Sl2Module, q: int, k: int) -> list[tuple]:
     """Strictly increasing q-tuples of indices summing to k."""
     bound = (mod.dim - 1) if mod.dim is not None else k
-    out = []
-
-    def extend(prefix, start, remaining, slots):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for i in range(start, bound + 1):
-            # the smallest completion uses i+1, ..., i+slots-1
-            rest_min = (slots - 1) * i + slots * (slots - 1) // 2
-            if i + rest_min > remaining:
-                break
-            extend(prefix + [i], i + 1, remaining - i, slots - 1)
-
-    extend([], 0, k, q)
-    return out
+    return increasing_tuples(range(bound + 1), q, k)
 
 
 def x_derivation_matrix(mod: Sl2Module, q: int, k: int):
     """Matrix of X acting as an even derivation Lambda^q_k -> Lambda^q_{k-1}."""
-    source = wedge_basis(mod, q, k)
-    target = wedge_basis(mod, q, k - 1)
-    pos = {m: i for i, m in enumerate(target)}
     f = mod.field
-    entries: dict = {}
-    for j, mono in enumerate(source):
-        for t, i in enumerate(mono):
-            if i == 0:
-                continue
-            new = mono[:t] + (i - 1,) + mono[t + 1:]
-            if len(set(new)) < q:
-                continue
-            # lowering index i inside an increasing tuple keeps it sorted
-            r = pos[new]
-            coef = f.from_rational(_x_coeff(mod, i))
-            key = (r, j)
-            v = f.add(entries.get(key, f.zero), coef)
-            if f.is_zero(v):
-                entries.pop(key, None)
-            else:
-                entries[key] = v
-    return linalg.SparseMatrix(f, len(target), len(source), entries,
-                               row_labels=target, col_labels=source)
+
+    def images(i):
+        return [(f.from_rational(_x_coeff(mod, i)), (i - 1,))] if i > 0 else []
+    return map_matrix(f, wedge_basis(mod, q, k), wedge_basis(mod, q, k - 1),
+                      lambda c: derive(c, images))
 
 
 def primitive_basis(mod: Sl2Module, q: int, k: int) -> list[dict]:

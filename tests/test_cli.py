@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from maxclass.cli import main
 
 
@@ -66,6 +68,24 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(["verify", "nope"], capsys)
     assert code == 2
     assert json.loads(err.strip())["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "bordemann", "--kmax", "3"],
+    ["verify", "charp", "--kmax", "2", "--qmax", "1"],
+    ["verify", "euler", "--qmax", "2"],
+])
+def test_verify_rejects_flags_the_suite_does_not_take(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "UsageError"
+
+
+def test_cocycle_has_no_algebra_flag(capsys):
+    code, out, _ = run(["cocycle", "--algebra", "l1", "--omega", "2,3"], capsys)
+    assert code == 2
+    assert out == ""
 
 
 def test_bad_algebra_spec(capsys):

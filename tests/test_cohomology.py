@@ -164,3 +164,9 @@ def test_representatives_raise_on_route_mismatch(monkeypatch):
     monkeypatch.setattr(cohomology, "betti", lambda alg, q, k, field=QQ: 2)
     with pytest.raises(RouteMismatch):
         representatives(preset("m0"), 2, 5)
+
+
+def test_euler_characteristic_raises_on_route_mismatch(monkeypatch):
+    monkeypatch.setattr(cohomology, "betti", lambda alg, q, k, field=QQ: 0)
+    with pytest.raises(RouteMismatch):
+        euler_characteristic(preset("m0"), 5)

@@ -169,3 +169,13 @@ def test_partition_recurrence(q, k):
     if q >= 1:
         assert partitions_P(q, k) == (partitions_P(q - 1, k - 1)
                                       + partitions_P(q, k - q))
+
+
+def test_partition_counts_need_no_deep_recursion():
+    assert partitions_P(1, 5000) == 1
+    assert partitions_P(3, 3000) == 750000  # nearest integer to k^2 / 12
+
+
+def test_bordemann_counts_at_large_n():
+    assert bordemann_dim(1500, 2) == small_closed_forms(1500, 2) == 750
+    assert bordemann_dim(1501, 3) == small_closed_forms(1501, 3) == 281625

@@ -1,0 +1,40 @@
+"""Golden texts of the cochains built from derivations of the exterior
+algebra (right inverses, cup products, w and omega variants) and of the
+sl(2) primitive vectors, pinned as files under tests/golden/."""
+import os
+
+from maxclass.cli import main
+from maxclass.cochain import Cochain, cochain_text
+from maxclass.explicit import cup_formula, d_minus1, d_minus2_class, omega, w_cocycle
+from maxclass.fields import QQ, PrimeField
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _three_terms():
+    return (Cochain.monomial(QQ, (2, 5), QQ.of(2))
+            + Cochain.monomial(QQ, (3, 4), QQ.of(-1))
+            + Cochain.monomial(QQ, (4, 6, 9), QQ.of(1, 2)))
+
+
+CASES = {
+    "d_minus1_3_7": lambda: d_minus1(Cochain.monomial(QQ, (3, 7))),
+    "d_minus1_three_terms": lambda: d_minus1(_three_terms()),
+    "d_minus2_class_4_5": lambda: d_minus2_class((4, 5)),
+    "cup_2__5": lambda: cup_formula((2,), (5,)),
+    "cup_3__7": lambda: cup_formula((3,), (7,)),
+    "w_4_6_fp3": lambda: w_cocycle((4, 6), PrimeField(3)),
+    "omega_5_7_floor3": lambda: omega((5, 7), floor=3),
+}
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, f"{name}.txt")) as fh:
+        return fh.read().strip()
+
+
+def test_derivation_built_cochains_match_goldens(capsys):
+    for name, build in CASES.items():
+        assert cochain_text(build()) == _golden(name), name
+    assert main(["sl2", "--q", "3", "--k", "7"]) == 0
+    assert capsys.readouterr().out.strip() == _golden("sl2_q3_k7")
