@@ -7,6 +7,7 @@ the graded Leibniz rule, so it preserves weight and raises degree by 1.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 
@@ -141,6 +142,12 @@ def increasing_tuples(indices, q: int, k: int) -> list[Monomial]:
         if slots == 0:
             if remaining == 0:
                 out.append(prefix)
+            return
+        if slots == 1:
+            # the last index is `remaining` itself, if the pool has it
+            pos = bisect_left(pool, remaining, start)
+            if pos < len(pool) and pool[pos] == remaining:
+                out.append(prefix + (remaining,))
             return
         for pos in range(start, len(pool)):
             i = pool[pos]

@@ -1,8 +1,12 @@
 """Exact field arithmetic over Q and prime fields F_p.
 
-Scalars are plain Python values: ``fractions.Fraction`` for Q and an
-integer residue in [0, p) for F_p.  A ``Field`` object carries the
-operations, so all other modules stay field-agnostic.
+Scalars are plain Python values.  Over Q a scalar is an ``int`` when it
+is integral and a ``fractions.Fraction`` otherwise: ``of`` and
+``from_rational`` return an ``int`` for an integral value, +, - and *
+keep two ints an int, and ``inv`` always returns a ``Fraction``, so no
+``/`` between two ints ever makes a float.  Over F_p a scalar is an
+integer residue in [0, p).  A ``Field`` object carries the operations,
+so all other modules stay field-agnostic.
 """
 from __future__ import annotations
 
@@ -67,21 +71,17 @@ class Rationals(Field):
     kind = "Rationals"
     characteristic = 0
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, n, d=1):
         if d == 0:
             raise DivisionByZero("denominator is zero")
-        return Fraction(n, d)
+        return self.from_rational(Fraction(n, d))
 
     def from_rational(self, fr):
-        return Fraction(fr)
+        fr = Fraction(fr)
+        return fr.numerator if fr.denominator == 1 else fr
 
     def add(self, a, b):
         return a + b

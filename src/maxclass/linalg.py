@@ -3,8 +3,9 @@
 Rank, kernel bases and membership-in-image solving: the brute-force
 oracle behind every cohomology dimension.  There is one elimination, in
 pure Python: a sparse row echelon form modulo a prime (dict rows taken
-sparsest first, pivot rows keyed by pivot column), with back
-substitution onto the free columns for kernel vectors and solutions.
+bottom-up, latest leading column first, so that pivot rows stay short;
+pivot rows keyed by pivot column), with back substitution onto the free
+columns for kernel vectors and solutions.
 Over F_p it runs once, modulo p.  Over Q it is certified modular
 elimination: it runs modulo word-size primes, the RREF kernel vectors
 (or the solution) are rebuilt by Chinese remaindering and rational
@@ -266,20 +267,24 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
 
 def _rows(M: SparseMatrix, rhs: dict[int, object] | None = None) -> list[dict[int, int]]:
     """The nonzero rows of M, or of [M | rhs] with rhs keyed by row index,
-    as integer maps keyed by column, sparsest first; over Q each row is
-    scaled by the lcm of its denominators."""
+    as integer maps keyed by column; over Q each row is scaled by the lcm
+    of its denominators.  Bottom-up order: the latest leading (smallest)
+    column first, the later row first on ties.  A pivot row then has few
+    columns to the right of its pivot, and the rows with early leading
+    columns come last and are reduced by short pivot rows."""
     by_row: dict[int, dict[int, object]] = {}
     for (r, c), v in M.entries.items():
         by_row.setdefault(r, {})[c] = v
     for r, v in (rhs or {}).items():
         by_row.setdefault(r, {})[M.cols] = v
-    rows = list(by_row.values())
+    order = sorted(by_row, key=lambda r: (min(by_row[r]), r), reverse=True)
+    rows = [by_row[r] for r in order]
     if M.field.characteristic == 0:
         for row in rows:
             den = lcm(*(v.denominator for v in row.values()))
             for c, v in row.items():
                 row[c] = v.numerator * (den // v.denominator)
-    return sorted(rows, key=len)
+    return rows
 
 
 def _kernel(M: SparseMatrix, rhs: dict[int, object] | None = None):

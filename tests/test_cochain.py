@@ -1,10 +1,13 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxclass.algebra import preset
 from maxclass.cochain import (Cochain, FieldMismatch, basis, cochain_from_json,
                               cochain_text, cochain_to_json, differential,
-                              differential_matrix, sort_with_sign, wedge)
+                              differential_matrix, increasing_tuples, sort_with_sign,
+                              wedge)
 from maxclass.combinatorics import distinct_V, partitions_P
 from maxclass.fields import QQ, PrimeField
 
@@ -132,3 +135,23 @@ def test_differential_linearity(pairs):
         total = total + c
         image = image + differential(m0, c)
     assert differential(m0, total) == image
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 24), max_size=14), st.integers(0, 5), st.integers(0, 70))
+def test_increasing_tuples_match_brute_force(pool, q, k):
+    pool = sorted(pool)
+    assert increasing_tuples(pool, q, k) == [t for t in combinations(pool, q) if sum(t) == k]
+
+
+def test_increasing_tuples_on_non_contiguous_pools():
+    pools = [[i for i in range(1, 30) if i != 2], [i for i in range(1, 30) if i >= 3],
+             [i for i in range(30) if i % 3], []]
+    for pool in pools:
+        for q in range(6):
+            by_sum = {}
+            for t in combinations(pool, q):
+                by_sum.setdefault(sum(t), []).append(t)
+            for k in range(80):
+                assert increasing_tuples(pool, q, k) == by_sum.get(k, []), (q, k)
+    assert increasing_tuples(range(5), -1, 0) == []

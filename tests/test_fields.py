@@ -4,6 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from maxclass.algebra import preset
+from maxclass.cochain import differential_matrix
+from maxclass.cohomology import representatives
+from maxclass.explicit import omega, w_cocycle
 from maxclass.fields import (QQ, DivisionByZero, PrimalityUndecided, PrimeField,
                              _is_prime, parse_field)
 
@@ -94,3 +98,46 @@ def test_primality_is_deterministic():
     assert [n for n in range(2000) if _is_prime(n)] == small
     with pytest.raises(PrimalityUndecided):
         _is_prime(2 ** 89 - 1)
+
+
+# --- scalar types over Q -----------------------------------------------------
+
+def _exact(x):
+    """An int or a Fraction, and neither a float nor a bool."""
+    return type(x) in (int, Fraction)
+
+
+def test_rational_scalars_are_int_when_integral():
+    assert type(QQ.of(4, 2)) is int and QQ.of(4, 2) == 2
+    assert type(QQ.from_rational(Fraction(-6, 3))) is int
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.of(1, 2)) is Fraction
+    assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
+
+
+_rationals = st.builds(QQ.of, st.integers(-50, 50), st.integers(1, 12))
+
+
+@given(_rationals, _rationals)
+def test_no_rational_operation_gives_a_float_or_bool(a, b):
+    results = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a),
+               QQ.from_rational(a), QQ.of(a), QQ.zero, QQ.one]
+    if not QQ.is_zero(b):
+        results += [QQ.inv(b), QQ.of(a, b), QQ.mul(a, QQ.inv(b))]
+    assert all(_exact(x) for x in results), results
+
+
+def test_library_coefficients_over_q_are_exact():
+    values = []
+    for name in ("m0", "m2", "l1"):
+        alg = preset(name)
+        for q, k in [(1, 9), (2, 12), (3, 18)]:
+            values += differential_matrix(alg, q, k).entries.values()
+        for q in range(1, 4):
+            for k in range(2, 16):
+                values += [x for rep in representatives(alg, q, k) for x in rep.terms.values()]
+    for c in [omega((5, 6)), omega((3, 5, 8)), omega((5, 7), floor=3),
+              w_cocycle((5,)), w_cocycle((4, 6))]:
+        values += c.terms.values()
+    assert any(type(x) is Fraction for x in values)
+    assert all(_exact(x) for x in values)

@@ -1,7 +1,11 @@
 """Golden texts of the cochains built from derivations of the exterior
 algebra (right inverses, cup products, w and omega variants) and of the
-sl(2) primitive vectors, pinned as files under tests/golden/."""
+sl(2) primitive vectors, pinned as files under tests/golden/; and the
+command-line output of every verify suite and of two l1 Betti tables,
+pinned byte for byte under tests/golden/cli/."""
 import os
+
+import pytest
 
 from maxclass.cli import main
 from maxclass.cochain import Cochain, cochain_text
@@ -38,3 +42,20 @@ def test_derivation_built_cochains_match_goldens(capsys):
         assert cochain_text(build()) == _golden(name), name
     assert main(["sl2", "--q", "3", "--k", "7"]) == 0
     assert capsys.readouterr().out.strip() == _golden("sl2_q3_k7")
+
+
+CLI_GOLDEN = os.path.join(GOLDEN, "cli")
+SUITES = ["euler", "goncharova", "gf", "dixmier", "laplacian", "bordemann", "fibonacci",
+          "charp"]
+BETTI_L1 = ["betti", "--algebra", "l1", "--qmax", "3", "--kmax", "30", "--format", "csv"]
+CLI_CASES = {f"verify_{s}.json": ["verify", s, "--format", "json"] for s in SUITES} \
+    | {f"verify_{s}.txt": ["verify", s] for s in SUITES} \
+    | {"betti_l1_q3_k30_q.csv": BETTI_L1,
+       "betti_l1_q3_k30_fp2147483647.csv": BETTI_L1 + ["--field", "fp:2147483647"]}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_is_byte_identical(name, capsys):
+    assert main(CLI_CASES[name]) == 0
+    with open(os.path.join(CLI_GOLDEN, name), newline="") as fh:
+        assert capsys.readouterr().out == fh.read()

@@ -259,11 +259,11 @@ PRIMES = [2, 3, 5, 97, 2 ** 31 - 1]
 
 
 @st.composite
-def fp_matrices(draw, max_rows=6, max_cols=6):
-    """A prime from PRIMES and a random small matrix of residues: plain,
+def fp_matrices(draw, max_rows=6, max_cols=6, primes=PRIMES):
+    """A prime from `primes` and a random small matrix of residues: plain,
     or a product of two factors of small inner size, so that kernels are
     common also for large p."""
-    p = draw(st.sampled_from(PRIMES))
+    p = draw(st.sampled_from(primes))
     m, n = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
 
     def residues(rows, cols):
@@ -313,3 +313,41 @@ def test_largest_fp_cell_against_dense_rref():
     assert rank(D) == D.cols - len(expected)
     assert [{D.col_labels.index(m): x for m, x in vec.items()} for vec in kernel_basis(D)] \
         == expected
+
+
+# --- row order ---------------------------------------------------------------
+
+@st.composite
+def permuted_matrices(draw):
+    """A field (Q, F_3 or F_(2^31 - 1)), a random small matrix over it and
+    a permutation of its rows."""
+    field = draw(st.sampled_from([QQ, PrimeField(3), PrimeField(2 ** 31 - 1)]))
+    if field.characteristic == 0:
+        dense = draw(rational_matrices())
+    else:
+        dense = draw(fp_matrices(primes=[field.characteristic]))[1]
+    return field, dense, draw(st.permutations(range(len(dense))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(permuted_matrices(), st.data())
+def test_results_do_not_depend_on_row_order(case, data):
+    field, dense, perm = case
+    n = len(dense[0])
+    M = dense_matrix(field, dense)
+    # the same rows under the same labels, stored in another order
+    P = SparseMatrix.from_dense(field, [dense[r] for r in perm], row_labels=list(perm))
+    assert rank(P) == rank(M)
+    assert linalg.pivot_columns(P) == linalg.pivot_columns(M)
+    assert list(kernel_basis(P)) == list(kernel_basis(M))
+    if data.draw(st.booleans()):
+        # a vector in the image, possibly zero
+        v = M.apply({c: field.of(data.draw(st.integers(-3, 3))) for c in range(n)})
+    else:
+        v = {r: field.of(data.draw(st.integers(-3, 3))) for r in range(len(dense))}
+        v = {r: x for r, x in v.items() if not field.is_zero(x)}
+    sols = [solve_in_image(M, v), solve_in_image(P, v)]
+    assert (sols[0] is None) == (sols[1] is None)
+    for sol in sols:
+        if sol is not None:
+            assert M.apply(sol) == v
