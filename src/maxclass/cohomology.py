@@ -135,25 +135,46 @@ def is_exact(alg: GradedAlgebra, c: Cochain):
     return True, Cochain(c.field, u)
 
 
-def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
-                      q: int, k: int, field: Field = QQ):
-    """Coordinates of the class of a closed cochain c in the basis given
-    by reps, or None if c is not in their span modulo exact forms."""
+def _with_coboundaries(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
+                       field: Field) -> linalg.SparseMatrix:
+    """[cochains | d^{q-1}_k] on the monomial basis of C^q_k."""
     mono_basis = basis(alg, q, k)
     order = {m: i for i, m in enumerate(mono_basis)}
-    entries = {(order[m], j): v for j, r in enumerate(reps) for m, v in r.terms.items()}
-    ncols = len(reps)
+    entries = {(order[m], j): v for j, r in enumerate(cochains) for m, v in r.terms.items()}
+    ncols = len(cochains)
     if q > 0:
         # the rows of d^{q-1}_k are mono_basis in the same order
         d_prev = _cached_matrix(alg, field, q - 1, k)
         entries.update({(r, ncols + c): v for (r, c), v in d_prev.entries.items()})
         ncols += d_prev.cols
-    M = linalg.SparseMatrix(field, len(mono_basis), ncols, entries,
-                            row_labels=mono_basis, col_labels=list(range(ncols)))
-    sol = linalg.solve_in_image(M, dict(c.terms))
+    return linalg.SparseMatrix(field, len(mono_basis), ncols, entries,
+                               row_labels=mono_basis, col_labels=list(range(ncols)))
+
+
+def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
+                      q: int, k: int, field: Field = QQ):
+    """Coordinates of the class of a closed cochain c in the basis given
+    by reps, or None if c is not in their span modulo exact forms."""
+    sol = linalg.solve_in_image(_with_coboundaries(alg, reps, q, k, field), dict(c.terms))
     if sol is None:
         return None
     return [sol.get(i, field.zero) for i in range(len(reps))]
+
+
+def class_rank(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
+               field: Field = QQ) -> int | None:
+    """Dimension of the span of the classes of cochains in H^q_k, that is
+    rank [cochains | d^{q-1}_k] - rank d^{q-1}_k, or None when d^q_k does
+    not kill them all.  The rank of an induced map on cohomology is the
+    class_rank of the images of the representatives of its source."""
+    cochains = [c for c in cochains if not c.is_zero()]
+    if not cochains:
+        return 0
+    d = _cached_matrix(alg, field, q, k)
+    if any(d.apply(dict(c.terms)) for c in cochains):
+        return None
+    coboundaries = _cached_rank(alg, field, q - 1, k) if q > 0 else 0
+    return linalg.rank(_with_coboundaries(alg, cochains, q, k, field)) - coboundaries
 
 
 def euler_characteristic(alg: GradedAlgebra, k: int, qbound: int | None = None,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import GradedAlgebra
-from .cochain import Cochain, derive, differential_matrix
-from .cohomology import RouteMismatch, betti
+from .cochain import Cochain, derive
+from .cohomology import RouteMismatch, _cached_matrix, betti
 from .explicit import d1_apply
 from .fields import QQ, Field
 
@@ -26,28 +26,18 @@ class ShapeMismatch(ValueError):
 
 def laplacian_matrix(alg: GradedAlgebra, q: int, k: int,
                      field: Field = QQ) -> linalg.SparseMatrix:
-    """D_q^T D_q + D_{q-1} D_{q-1}^T on the monomial basis of Lambda^q_k."""
+    """D_q^T D_q + D_{q-1} D_{q-1}^T on the monomial basis of Lambda^q_k,
+    as A^T A with A the matrix D_q stacked over D_{q-1}^T."""
     if field.characteristic != 0:
         raise FieldNotOrdered("Hodge pairing requires characteristic zero")
-    d_q = differential_matrix(alg, q, k, field)
-    M = d_q.transpose().matmul(d_q)
+    d_q = _cached_matrix(alg, field, q, k)
+    rows, entries = d_q.rows, dict(d_q.entries)
     if q >= 1:
-        d_prev = differential_matrix(alg, q - 1, k, field)
-        M = _add(M, d_prev.matmul(d_prev.transpose()))
-    return M
-
-
-def _add(a: linalg.SparseMatrix, b: linalg.SparseMatrix) -> linalg.SparseMatrix:
-    f = a.field
-    entries = dict(a.entries)
-    for key, v in b.entries.items():
-        w = f.add(entries.get(key, f.zero), v)
-        if f.is_zero(w):
-            entries.pop(key, None)
-        else:
-            entries[key] = w
-    return linalg.SparseMatrix(f, a.rows, a.cols, entries,
-                               row_labels=a.row_labels, col_labels=a.col_labels)
+        d_prev = _cached_matrix(alg, field, q - 1, k)
+        entries.update({(rows + c, r): v for (r, c), v in d_prev.entries.items()})
+        rows += d_prev.cols
+    A = linalg.SparseMatrix(field, rows, d_q.cols, entries, col_labels=d_q.col_labels)
+    return A.transpose().matmul(A)
 
 
 def laplacian_apply(alg: GradedAlgebra, c: Cochain) -> Cochain:

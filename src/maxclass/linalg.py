@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .fields import Field, _is_prime
 
@@ -218,6 +218,12 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
     ones.  With `target` free, M w = 0 is M u = v for the solution u;
     with `target` a pivot, it certifies rank_Q of the other columns and
     so that `target` is outside their span.  A failed check adds a prime.
+
+    The RREF entries are ratios of minors of M, bounded by Hadamard's
+    bound H (the product of the row norms), so past a modulus of 2 H^2 a
+    correct elimination fails only at primes dividing a nonzero minor.
+    H is computed at the first failure; past 2 H^2 a failure sends the
+    next prime through all rows, and a failed all-rows prime raises.
     """
     columns: dict[int, list[tuple[int, int]]] = {}
     for r, row in enumerate(rows):
@@ -235,8 +241,9 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
 
     # rows independent mod p are independent over Q: once a prime has set
     # the pivots, the next ones eliminate only the rows it kept
-    best, basis = None, rows
+    best, basis, limit = None, rows, None
     for p in _primes():
+        all_rows = basis is rows
         echelon, independent = _echelon(basis, p)
         key = (-len(echelon), sorted(echelon))
         if best is None or key < best:
@@ -261,6 +268,12 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
         else:
             if all(annihilated(vec) for vec in vectors.values()):
                 return key[1], list(vectors.values())
+            basis = rows
+        if limit is None:
+            limit = 2 * prod(sum(a * a for a in row.values()) for row in rows)
+        if modulus > limit:
+            if all_rows:
+                raise CertificationError("no certificate within Hadamard's bound")
             basis = rows
     raise CertificationError("no prime left to certify the elimination")
 

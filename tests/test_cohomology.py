@@ -6,7 +6,7 @@ from maxclass.algebra import preset, subalgebra
 from maxclass.cochain import Cochain, basis, differential
 from maxclass import cohomology
 from maxclass.cohomology import (NotCocycle, RouteMismatch, betti, betti_table,
-                                 class_coordinates, euler_characteristic,
+                                 class_coordinates, class_rank, euler_characteristic,
                                  is_exact, representatives)
 from maxclass.combinatorics import distinct_V, partitions_P
 from maxclass.fields import QQ, PrimeField
@@ -116,6 +116,30 @@ def test_class_coordinates():
     coords1 = class_coordinates(m0, c, reps, 2, 5)
     coords2 = class_coordinates(m0, c + shift, reps, 2, 5)
     assert coords1 == coords2 == [QQ.one]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+@pytest.mark.parametrize("name, q, k", [("m0", 3, 15), ("m2", 2, 7), ("l1", 3, 15)])
+def test_class_rank_counts_classes_modulo_coboundaries(name, q, k, field):
+    alg = preset(name)
+    reps = representatives(alg, q, k, field)
+    coboundaries = [d for m in basis(alg, q - 1, k)
+                    if not (d := differential(alg, Cochain.monomial(field, m))).is_zero()]
+    assert coboundaries
+    assert class_rank(alg, reps, q, k, field) == len(reps) == betti(alg, q, k, field)
+    assert class_rank(alg, [], q, k, field) == 0
+    assert class_rank(alg, coboundaries, q, k, field) == 0
+    shifted = [r + d for r, d in zip(reps, coboundaries)]
+    assert class_rank(alg, shifted + coboundaries, q, k, field) == len(reps)
+    # the first representative twice, once shifted, spans one class
+    assert class_rank(alg, [reps[0], reps[0] + coboundaries[-1]], q, k, field) == 1
+
+
+def test_class_rank_is_none_on_a_cochain_that_is_not_closed():
+    m0 = preset("m0")
+    reps = representatives(m0, 2, 7)
+    # d(e2^e5) = e1^e2^e4 is nonzero
+    assert class_rank(m0, reps + [Cochain.monomial(QQ, (2, 5))], 2, 7) is None
 
 
 def test_euler_characteristic_consistency():

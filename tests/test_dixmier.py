@@ -2,6 +2,9 @@
 sequence verification."""
 import itertools
 
+import pytest
+
+from maxclass import dixmier
 from maxclass.algebra import preset
 from maxclass.cochain import Cochain, basis, differential, wedge
 from maxclass.dixmier import (
@@ -128,3 +131,35 @@ def test_exactness_mod_p():
     f3 = PrimeField(3)
     rep = verify_exactness(m0_split(), qmax=2, kmax=10, field=f3)
     assert rep.passed
+
+
+@pytest.mark.parametrize("split", [m0_split, m2_split])
+def test_exactness_catches_a_zero_connecting_map(split, monkeypatch):
+    """With adX* replaced by the zero map, H^1_3(b) receives nothing by
+    restriction and sends nothing on, though its dimension is 1."""
+    monkeypatch.setattr(dixmier, "adx_star", lambda s, c: Cochain(c.field))
+    rep = verify_exactness(split(), qmax=3, kmax=14)
+    assert rep.passed is False
+    assert rep.first_failure == {"node": "H^1_3(b)", "q": 1, "k": 3, "dim": 1,
+                                 "rank_in": 0, "rank_out": 0, "composite_zero": True}
+
+
+def test_exactness_reports_images_that_are_not_closed(monkeypatch):
+    """A map into the right cell whose images are not cocycles gives
+    ranks of -1: the wedge with e^x, followed by a cyclic shift of the
+    monomial basis of its cell."""
+    wedge_x = dixmier.x_wedge
+
+    def shifted_wedge(split, c):
+        img = wedge_x(split, c)
+        if img.is_zero():
+            return img
+        monos = basis(split.parent, *img.bidegree())
+        after = {m: monos[(i + 1) % len(monos)] for i, m in enumerate(monos)}
+        return Cochain(img.field, {after[m]: v for m, v in img.terms.items()})
+
+    monkeypatch.setattr(dixmier, "x_wedge", shifted_wedge)
+    rep = verify_exactness(m2_split(), qmax=3, kmax=14)
+    assert rep.passed is False
+    assert rep.first_failure == {"node": "H^2_9(b)*", "q": 2, "k": 9, "dim": 1,
+                                 "rank_in": -1, "rank_out": -1, "composite_zero": False}

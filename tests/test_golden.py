@@ -2,13 +2,15 @@
 algebra (right inverses, cup products, w and omega variants) and of the
 sl(2) primitive vectors, pinned as files under tests/golden/; and the
 command-line output of every verify suite and of two l1 Betti tables,
-pinned byte for byte under tests/golden/cli/."""
+pinned byte for byte under tests/golden/cli/; and the long exact
+sequence reports of both splits, pinned under tests/golden/exactness/."""
 import os
 
 import pytest
 
 from maxclass.cli import main
 from maxclass.cochain import Cochain, cochain_text
+from maxclass.dixmier import m0_split, m2_split, verify_exactness
 from maxclass.explicit import cup_formula, d_minus1, d_minus2_class, omega, w_cocycle
 from maxclass.fields import QQ, PrimeField
 
@@ -59,3 +61,17 @@ def test_cli_output_is_byte_identical(name, capsys):
     assert main(CLI_CASES[name]) == 0
     with open(os.path.join(CLI_GOLDEN, name), newline="") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+EXACTNESS_GOLDEN = os.path.join(GOLDEN, "exactness")
+EXACTNESS_CASES = {f"{name}_{tag}.json": (split, qmax, kmax, field)
+                   for name, split in (("m0", m0_split), ("m2", m2_split))
+                   for tag, qmax, kmax, field in (("q3_k20_q", 3, 20, QQ),
+                                                  ("q2_k12_fp3", 2, 12, PrimeField(3)))}
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_CASES))
+def test_exactness_report_is_byte_identical(name):
+    split, qmax, kmax, field = EXACTNESS_CASES[name]
+    with open(os.path.join(EXACTNESS_GOLDEN, name)) as fh:
+        assert verify_exactness(split(), qmax, kmax, field).to_json() + "\n" == fh.read()

@@ -98,3 +98,17 @@ def test_harmonic_basis_raises_on_route_mismatch(monkeypatch):
     monkeypatch.setattr(laplacian, "betti", lambda alg, q, k, field=QQ: 0)
     with pytest.raises(RouteMismatch):
         harmonic_basis(preset("m0"), 2, 5)
+
+
+def test_laplacian_reads_the_cached_differentials(monkeypatch):
+    """After betti has built d^2_9 and d^1_9 of m0, the Laplacian of the
+    cell assembles no differential of its own."""
+    from maxclass import cochain
+    m0 = preset("m0")
+    betti(m0, 2, 9)
+
+    def assembly(*args):
+        raise AssertionError("a matrix assembled past the cell cache")
+
+    monkeypatch.setattr(cochain, "map_matrix", assembly)
+    assert len(harmonic_basis(m0, 2, 9)) == betti(m0, 2, 9)

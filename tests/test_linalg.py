@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,42 @@ def test_certification_error_when_primes_run_out(monkeypatch):
     M = SparseMatrix.from_dense(QQ, [[3, 1, 0], [6, 2, 1]])
     with pytest.raises(CertificationError):
         rank(M)
+
+
+def _echelon_replacing_pivot_rows(rows, p):
+    """A defective echelon: a row whose leading column is already a pivot
+    replaces that pivot row instead of being reduced by it."""
+    pivots, independent = {}, []
+    for src in rows:
+        row = {c: v % p for c, v in src.items() if v % p}
+        if row:
+            inv = pow(row[min(row)], -1, p)
+            pivots[min(row)] = {j: x * inv % p for j, x in row.items()}
+            independent.append(src)
+    return pivots, independent
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("the certified elimination did not end")
+
+
+@pytest.mark.parametrize("call", [rank, kernel_basis])
+def test_defective_echelon_raises_within_hadamards_bound(call, monkeypatch):
+    """Every prime gives the same wrong pivot row, so the exact check
+    fails prime after prime.  The RREF entries of a correct elimination
+    are bounded by the Hadamard bound H = 1 * sqrt(2) * sqrt(5), so a
+    failure of an all-rows prime once the modulus exceeds 2 H^2 must
+    raise instead of walking every prime below 2^30."""
+    monkeypatch.setattr(linalg, "_echelon", _echelon_replacing_pivot_rows)
+    M = SparseMatrix.from_dense(QQ, [[1, 0], [1, 1], [2, 1]])
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        with pytest.raises(CertificationError):
+            call(M)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_real_cell_against_bareiss():
