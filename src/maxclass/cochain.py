@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .algebra import GradedAlgebra
 from .fields import QQ, Field
@@ -206,9 +206,10 @@ def map_matrix(field: Field, source, target, fn) -> SparseMatrix:
                         row_labels=target, col_labels=source)
 
 
+@lru_cache(maxsize=None)
 def _generator_images(alg: GradedAlgebra, field: Field):
     """i -> d e^i as (coefficient, (a, i - a)) with a < i - a, each
-    computed once per returned map."""
+    computed once per (algebra, field)."""
     @cache
     def images(i):
         out = []

@@ -2,8 +2,16 @@
 
 This is the brute-force route: dimensions come from exact ranks of the
 differential, representatives from the reduced echelon kernel basis,
-selected by the pivots of the image.  Ranks are cached per (algebra,
-field, q, k) since the table computations reuse them heavily.
+selected by the pivots of the image.  Matrices and ranks are cached per
+(algebra, field, q, k) since the table computations reuse them heavily.
+
+The rank of d^q_k over Q, q > 0, uses the complex: once the product
+d^q_k d^{q-1}_k is checked to be exactly zero (no rule is trusted to
+satisfy Jacobi), rank d^q_k <= dim C^q_k - rank d^{q-1}_k, and
+linalg.rank stops its first prime at that bound.  An acyclic cell
+(b^q_k = 0) reaches it and costs one pass modulo one prime; any other
+cell takes the certified modular path.  Over F_p the one pass is the
+answer already, so no bound is passed.
 """
 from __future__ import annotations
 
@@ -33,7 +41,13 @@ def _cached_matrix(alg: GradedAlgebra, field: Field, q: int, k: int):
 
 @lru_cache(maxsize=None)
 def _cached_rank(alg: GradedAlgebra, field: Field, q: int, k: int) -> int:
-    return linalg.rank(_cached_matrix(alg, field, q, k))
+    d = _cached_matrix(alg, field, q, k)
+    if q == 0 or field.characteristic or d.is_zero():
+        return linalg.rank(d)
+    below = _cached_rank(alg, field, q - 1, k)
+    if not d.matmul(_cached_matrix(alg, field, q - 1, k)).is_zero():
+        return linalg.rank(d)
+    return linalg.rank(d, at_most=d.cols - below)
 
 
 def betti(alg: GradedAlgebra, q: int, k: int, field: Field = QQ) -> int:

@@ -10,7 +10,9 @@ Over F_p it runs once, modulo p.  Over Q it is certified modular
 elimination: it runs modulo word-size primes, the RREF kernel vectors
 (or the solution) are rebuilt by Chinese remaindering and rational
 reconstruction, and nothing is returned before an exact integer check
-(see _certified_kernel).
+(see _certified_kernel).  A rank over Q with a bound from the caller
+(rank(M, at_most)) needs no check when the first prime's pass reaches
+that bound: the pass stops there and its count is certified.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd, isqrt, lcm, prod
 
-from .fields import Field, _is_prime
+from .fields import QQ, Field, _is_prime
 
 BACKEND = "python"
 
@@ -142,9 +144,10 @@ def _primes():
         yield _PRIMES[i]
 
 
-def _echelon(rows: list[dict[int, int]], p: int):
+def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
     """Row echelon form mod p as pivot rows keyed by pivot column (their
-    smallest column, scaled to 1), and the rows that gave a pivot."""
+    smallest column, scaled to 1), and the rows that gave a pivot; with
+    `stop`, the pass ends as soon as it has that many pivots."""
     pivots: dict[int, dict[int, int]] = {}
     independent = []
     for src in rows:
@@ -169,6 +172,8 @@ def _echelon(rows: list[dict[int, int]], p: int):
                     heappush(heap, j)
                 else:
                     row[j] = (y - v * x) % p
+        if len(pivots) == stop:
+            break
     return pivots, independent
 
 
@@ -196,15 +201,16 @@ def _free_columns(pivots, ncols: int, target: int | None) -> list[int]:
     return [c for c in range(ncols) if c not in pivots]
 
 
-def _rational(u: int, m: int, bound: int) -> Fraction | None:
-    """The fraction a/b = u mod m with |a|, b <= bound, if there is one."""
+def _rational(u: int, m: int, bound: int) -> int | Fraction | None:
+    """The fraction a/b = u mod m with |a|, b <= bound, if there is one;
+    an int when b = 1."""
     r0, r1, t0, t1 = m, u, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return QQ.of(r1, t1)
 
 
 def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None):
@@ -259,7 +265,7 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
             residues[entry] = a + modulus * ((step.get(entry, 0) - a) * inv % p)
         modulus *= p
         bound = isqrt(modulus // 2)
-        vectors = {f: {f: Fraction(1)} for f in free}
+        vectors = {f: {f: 1} for f in free}
         for (c, f), u in sorted(residues.items()):
             x = _rational(u, modulus, bound)
             if x is None:
@@ -327,8 +333,19 @@ def pivot_columns(M: SparseMatrix) -> list[int]:
     return sorted(_echelon(_rows(M), p)[0])
 
 
-def rank(M: SparseMatrix) -> int:
-    """Exact rank."""
+def rank(M: SparseMatrix, at_most: int | None = None) -> int:
+    """Exact rank.
+
+    `at_most` is a promise of the caller: rank M <= at_most (over Q,
+    rank_Q M <= at_most).  One echelon pass, modulo the first prime over
+    Q, then stops at its at_most-th pivot, and a pass that gets there has
+    found the rank, since rank_p <= rank_Q <= at_most.  A pass that ends
+    below at_most proves nothing over Q, and the rank is found as
+    without a bound.  A wrong promise gives a wrong rank."""
+    if at_most is not None and not M.is_zero():
+        p = M.field.characteristic or next(_primes())
+        if len(_echelon(_rows(M), p, at_most)[0]) == at_most:
+            return at_most
     return len(pivot_columns(M))
 
 

@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line front end."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import maxclass
 from maxclass.cli import main
 
 
@@ -143,8 +146,9 @@ def test_determinism_byte_identical(capsys):
 
 
 def test_console_entry_point():
+    src = str(Path(maxclass.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "maxclass.cli", "betti", "--q", "1", "--k", "1"],
-        capture_output=True, text=True)
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"

@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxclass.algebra import preset
+from maxclass import cochain
+from maxclass.algebra import GradedAlgebra, preset, subalgebra
 from maxclass.cochain import (Cochain, FieldMismatch, basis, cochain_from_json,
                               cochain_text, cochain_to_json, differential,
                               differential_matrix, increasing_tuples, sort_with_sign,
@@ -106,6 +107,37 @@ def test_differential_matrix_shape_and_action():
     # d e^3 = e^1^e^2
     col = {M.row_labels[r]: v for (r, c), v in M.entries.items() if c == 0}
     assert col == {(1, 2): QQ.one}
+
+
+def test_generator_images_are_built_once_per_algebra_and_field(monkeypatch):
+    calls = []
+    bracket = GradedAlgebra.bracket
+    monkeypatch.setattr(GradedAlgebra, "bracket",
+                        lambda alg, i, j: calls.append((i, j)) or bracket(alg, i, j))
+    l1 = preset("l1")
+    first = differential_matrix(l1, 3, 21, QQ)
+    calls.clear()
+    assert differential_matrix(l1, 3, 21, QQ).entries == first.entries
+    # every generator here is at most 18, as in C^3_21
+    differential_matrix(l1, 2, 19, QQ)
+    differential(l1, Cochain.monomial(QQ, (4, 17)))
+    assert calls == []
+    differential_matrix(l1, 3, 21, PrimeField(7))
+    assert calls
+
+
+def test_generator_images_are_not_shared_between_subalgebras():
+    """[e1, e4] = [e2, e3] = e5 in m2, so d e^5 has the two terms
+    e1^e4 and e2^e3; without e2 only e1^e4 is left, and without e1 and
+    e2 nothing.  Each key gets its own table."""
+    m2 = preset("m2")
+    without_2 = subalgebra(m2, lambda i: i != 2)
+    from_3 = subalgebra(m2, lambda i: i >= 3)
+    for alg in (m2, without_2, from_3):
+        cochain._generator_images(alg, QQ)(5)
+    assert cochain._generator_images(m2, QQ)(5) == [(1, (1, 4)), (1, (2, 3))]
+    assert cochain._generator_images(without_2, QQ)(5) == [(1, (1, 4))]
+    assert cochain._generator_images(from_3, QQ)(5) == []
 
 
 def test_bidegree():

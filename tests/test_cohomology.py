@@ -1,10 +1,13 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from maxclass.algebra import preset, subalgebra
+from maxclass import cohomology, linalg
+from maxclass.algebra import GradedAlgebra, preset, subalgebra, validate
 from maxclass.cochain import Cochain, basis, differential
-from maxclass import cohomology
 from maxclass.cohomology import (NotCocycle, RouteMismatch, betti, betti_table,
                                  class_coordinates, class_rank, euler_characteristic,
                                  is_exact, representatives)
@@ -194,3 +197,88 @@ def test_euler_characteristic_raises_on_route_mismatch(monkeypatch):
     monkeypatch.setattr(cohomology, "betti", lambda alg, q, k, field=QQ: 0)
     with pytest.raises(RouteMismatch):
         euler_characteristic(preset("m0"), 5)
+
+
+def test_integral_representative_coefficients_are_int():
+    integral = []
+    for name in ("m0", "m2", "l1"):
+        alg = preset(name)
+        for q in range(4):
+            for k in range(20):
+                integral += [x for rep in representatives(alg, q, k)
+                             for x in rep.terms.values() if x.denominator == 1]
+    assert integral
+    assert all(type(x) is int for x in integral)
+
+
+# --- the rank certificate from d^q d^{q-1} = 0 ---------------------------------
+
+def _uncapped_betti(alg, q, k, field=QQ):
+    """dim C^q_k - rank d^q_k - rank d^{q-1}_k, each rank on the certified
+    path without a bound."""
+    d = cohomology._cached_matrix(alg, field, q, k)
+    below = linalg.rank(cohomology._cached_matrix(alg, field, q - 1, k)) if q else 0
+    return d.cols - linalg.rank(d) - below
+
+
+def _no_jacobi():
+    """A truncation at 9 with random brackets in {-2..2}: a GradedAlgebra
+    built directly, since load_custom would reject it."""
+    rnd = random.Random(0)
+    table = {(i, j): Fraction(rnd.randint(-2, 2))
+             for i in range(1, 9) for j in range(i + 1, 10 - i)}
+    return GradedAlgebra("no-jacobi", lambda i, j: [(table.get((i, j), 0), i + j)],
+                         lambda i: True, truncation=9, key="test:no-jacobi")
+
+
+def test_cap_is_refused_when_d_squared_is_not_zero():
+    """Where d^q d^{q-1} != 0 the bound dim C^q_k - rank d^{q-1}_k can
+    be below rank d^q_k (it is at (3, 10) and (3, 16)); a bound taken on
+    trust there would stop the echelon early and give a wrong rank."""
+    alg = _no_jacobi()
+    assert not validate(alg, 12).passed
+    short = []
+    for q in range(5):
+        for k in range(18):
+            assert betti(alg, q, k) == _uncapped_betti(alg, q, k), (q, k)
+            d = cohomology._cached_matrix(alg, QQ, q, k)
+            if q and linalg.rank(d) > d.cols - cohomology._cached_rank(alg, QQ, q - 1, k):
+                short.append((q, k))
+    assert (3, 10) in short and (3, 16) in short
+
+
+@pytest.mark.parametrize("alg", [preset("m0"), preset("m2"), preset("l1"),
+                                 preset("l1quot", 8)], ids=repr)
+def test_cached_rank_equals_the_uncapped_rank(alg):
+    for q in range(5):
+        for k in range(21):
+            assert cohomology._cached_rank(alg, QQ, q, k) \
+                == linalg.rank(cohomology._cached_matrix(alg, QQ, q, k)), (q, k)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(2, 7))
+def test_cached_rank_equals_the_uncapped_rank_on_lk(n):
+    test_cached_rank_equals_the_uncapped_rank(preset("lk", n))
+
+
+def test_acyclic_cells_take_one_echelon_pass(monkeypatch):
+    """Over Q, a cell with q >= 1 and b^q_k = 0 reaches the bound at the
+    first prime: its rank costs one echelon pass.  Every other nonzero
+    d^q_k, q >= 1, takes the certified path, which needs more."""
+    passes = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda *args: passes.append(1) or echelon(*args))
+    l1 = preset("l1")
+    cohomology._cached_rank.cache_clear()
+    one_pass = 0
+    for k in range(31):
+        for q in range(4):
+            before = len(passes)
+            b = betti(l1, q, k)
+            if q == 0 or cohomology._cached_matrix(l1, QQ, q, k).is_zero():
+                continue
+            assert (len(passes) - before == 1) == (b == 0), (q, k)
+            one_pass += b == 0
+    assert one_pass > 50
