@@ -5,13 +5,16 @@ differential, representatives from the reduced echelon kernel basis,
 selected by the pivots of the image.  Matrices and ranks are cached per
 (algebra, field, q, k) since the table computations reuse them heavily.
 
-The rank of d^q_k over Q, q > 0, uses the complex: once the product
-d^q_k d^{q-1}_k is checked to be exactly zero (no rule is trusted to
-satisfy Jacobi), rank d^q_k <= dim C^q_k - rank d^{q-1}_k, and
-linalg.rank stops its first prime at that bound.  An acyclic cell
-(b^q_k = 0) reaches it and costs one pass modulo one prime; any other
-cell takes the certified modular path.  Over F_p the one pass is the
-answer already, so no bound is passed.
+The rank of d^q_k, q > 0, uses the complex: where d∘d = 0 on weight
+k, rank d^q_k <= dim C^q_k - rank d^{q-1}_k, and linalg.rank stops its
+one echelon pass at that bound.  No rule is trusted to satisfy Jacobi.
+d∘d is an even derivation in every characteristic, so it vanishes on
+weight k once d d e^i = 0 for every generator i of weight <= k; this is
+checked once per generator over Q, and it holds over every F_p too,
+since d over F_p is the reduction mod p of d over Q.  Over Q an acyclic
+cell (b^q_k = 0) reaches the bound and costs one pass modulo one prime;
+any other cell takes the certified modular path.  Over F_p the one pass
+is the rank whether or not it reaches the bound.
 """
 from __future__ import annotations
 
@@ -39,15 +42,30 @@ def _cached_matrix(alg: GradedAlgebra, field: Field, q: int, k: int):
     return differential_matrix(alg, q, k, field)
 
 
+# per algebra, the highest weight w with d d e^i = 0 for every generator i <= w
+_D_SQUARED_ZERO: dict[GradedAlgebra, int] = {}
+
+
+def _d_squared_vanishes(alg: GradedAlgebra, k: int) -> bool:
+    """Whether d∘d = 0 on every cochain of weight k, over every field."""
+    done = _D_SQUARED_ZERO.get(alg, 0)
+    if k <= done:
+        return True
+    for i in alg.generators_up_to(k):
+        if i > done and not differential(alg, differential(
+                alg, Cochain.monomial(QQ, (i,)))).is_zero():
+            _D_SQUARED_ZERO[alg] = i - 1
+            return False
+    _D_SQUARED_ZERO[alg] = k
+    return True
+
+
 @lru_cache(maxsize=None)
 def _cached_rank(alg: GradedAlgebra, field: Field, q: int, k: int) -> int:
     d = _cached_matrix(alg, field, q, k)
-    if q == 0 or field.characteristic or d.is_zero():
+    if q == 0 or d.is_zero() or not _d_squared_vanishes(alg, k):
         return linalg.rank(d)
-    below = _cached_rank(alg, field, q - 1, k)
-    if not d.matmul(_cached_matrix(alg, field, q - 1, k)).is_zero():
-        return linalg.rank(d)
-    return linalg.rank(d, at_most=d.cols - below)
+    return linalg.rank(d, at_most=d.cols - _cached_rank(alg, field, q - 1, k))
 
 
 def betti(alg: GradedAlgebra, q: int, k: int, field: Field = QQ) -> int:

@@ -2,22 +2,23 @@
 
 Rank, kernel bases and membership-in-image solving: the brute-force
 oracle behind every cohomology dimension.  There is one elimination, in
-pure Python: a sparse row echelon form modulo a prime (dict rows taken
+pure Python: a sparse row echelon form modulo a prime (rows taken
 bottom-up, latest leading column first, so that pivot rows stay short;
 pivot rows keyed by pivot column), with back substitution onto the free
-columns for kernel vectors and solutions.
+columns for kernel vectors and solutions.  Each row is reduced in a
+dense integer accumulator, reduced mod p only where an entry is read,
+with a bitmask of touched columns as the frontier (see _echelon).
 Over F_p it runs once, modulo p.  Over Q it is certified modular
 elimination: it runs modulo word-size primes, the RREF kernel vectors
 (or the solution) are rebuilt by Chinese remaindering and rational
 reconstruction, and nothing is returned before an exact integer check
-(see _certified_kernel).  A rank over Q with a bound from the caller
-(rank(M, at_most)) needs no check when the first prime's pass reaches
-that bound: the pass stops there and its count is certified.
+(see _certified_kernel).  A rank with a bound from the caller
+(rank(M, at_most)) stops its one pass at that bound; over Q a pass
+that reaches it needs no check, since its count is certified.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd, isqrt, lcm, prod
 
@@ -147,33 +148,59 @@ def _primes():
 def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
     """Row echelon form mod p as pivot rows keyed by pivot column (their
     smallest column, scaled to 1), and the rows that gave a pivot; with
-    `stop`, the pass ends as soon as it has that many pivots."""
-    pivots: dict[int, dict[int, int]] = {}
+    `stop`, the pass ends as soon as it has that many pivots.
+
+    Each row is reduced in a dense accumulator, a list of integers as
+    wide as the matrix, and an integer bitmask of its touched columns is
+    the frontier: its lowest bit is the next column to read, so zero
+    columns are never visited.  Reduction mod p is lazy: an update is
+    acc[j] -= v x, and an entry is reduced only when it is read as a
+    candidate pivot or stored in a new pivot row.  Reducing by the pivot
+    row of column c ORs in that row's precomputed mask of columns."""
+    ncols = 1 + max(map(max, filter(None, rows)), default=-1)
+    acc = [0] * ncols
+    pivots: dict[int, dict[int, int]] = {}     # each lacks its pivot entry 1 until the end
+    masks: dict[int, int] = {}
     independent = []
     for src in rows:
-        row = {c: v % p for c, v in src.items() if v % p}
-        heap = list(row)
-        heapify(heap)
-        while heap:
-            c = heappop(heap)
-            v = row[c]
+        mask = 0
+        for c, v in src.items():
+            acc[c] = v
+            mask |= 1 << c
+        # every column read is set to zero, so acc is all zero for the next row
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            c = low.bit_length() - 1
+            v = acc[c] % p
+            acc[c] = 0
             if not v:
                 continue
             prow = pivots.get(c)
             if prow is None:
                 inv = pow(v, -1, p)
-                pivots[c] = {j: x * inv % p for j, x in row.items() if x}
+                prow = pivots[c] = {}
+                tail = mask
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    j = low.bit_length() - 1
+                    x = acc[j] % p
+                    acc[j] = 0
+                    if x:
+                        prow[j] = x * inv % p
+                    else:
+                        tail ^= low
+                masks[c] = tail
                 independent.append(src)
                 break
             for j, x in prow.items():
-                y = row.get(j)
-                if y is None:
-                    row[j] = -v * x % p
-                    heappush(heap, j)
-                else:
-                    row[j] = (y - v * x) % p
+                acc[j] -= v * x
+            mask |= masks[c]
         if len(pivots) == stop:
             break
+    for c, prow in pivots.items():
+        prow[c] = 1
     return pivots, independent
 
 
@@ -337,15 +364,18 @@ def rank(M: SparseMatrix, at_most: int | None = None) -> int:
     """Exact rank.
 
     `at_most` is a promise of the caller: rank M <= at_most (over Q,
-    rank_Q M <= at_most).  One echelon pass, modulo the first prime over
-    Q, then stops at its at_most-th pivot, and a pass that gets there has
-    found the rank, since rank_p <= rank_Q <= at_most.  A pass that ends
-    below at_most proves nothing over Q, and the rank is found as
-    without a bound.  A wrong promise gives a wrong rank."""
+    rank_Q M <= at_most).  One echelon pass, modulo p over F_p and modulo
+    the first prime over Q, then stops at its at_most-th pivot.  Over F_p
+    that pass is the rank, whether it stops at the bound or ends below
+    it.  Over Q a pass that gets there has found the rank, since rank_p
+    <= rank_Q <= at_most; one that ends below at_most proves nothing, and
+    the rank is found as without a bound.  A wrong promise gives a wrong
+    rank."""
     if at_most is not None and not M.is_zero():
-        p = M.field.characteristic or next(_primes())
-        if len(_echelon(_rows(M), p, at_most)[0]) == at_most:
-            return at_most
+        p = M.field.characteristic
+        found = len(_echelon(_rows(M), p or next(_primes()), at_most)[0])
+        if p or found == at_most:
+            return found
     return len(pivot_columns(M))
 
 

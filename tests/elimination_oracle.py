@@ -4,11 +4,15 @@ Fraction RREF over Q, and a dense RREF over F_p.
 These are the dense routes the library used before its one sparse
 engine; they stay here, slow and simple, as the oracle the engine is
 compared against.  All pivot on the first nonzero entry in column
-order, so results are deterministic.
+order, so results are deterministic.  `heap_echelon` is the engine's
+earlier sparse echelon, with dict rows and a heap of columns: the
+reference for the accumulator kernel, which must return the same
+pivot rows and the same independent rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 
@@ -147,3 +151,36 @@ def in_image(dense, ncols: int, rhs: list, p: int = 0) -> bool:
     aug = [list(r) + [v] for r, v in zip(dense, rhs)]
     _, pivots = _rref(aug, ncols + 1, p)
     return ncols not in pivots
+
+
+def heap_echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
+    """Row echelon form mod p as pivot rows keyed by pivot column (their
+    smallest column, scaled to 1), and the rows that gave a pivot; with
+    `stop`, the pass ends as soon as it has that many pivots."""
+    pivots: dict[int, dict[int, int]] = {}
+    independent = []
+    for src in rows:
+        row = {c: v % p for c, v in src.items() if v % p}
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            v = row[c]
+            if not v:
+                continue
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(v, -1, p)
+                pivots[c] = {j: x * inv % p for j, x in row.items() if x}
+                independent.append(src)
+                break
+            for j, x in prow.items():
+                y = row.get(j)
+                if y is None:
+                    row[j] = -v * x % p
+                    heappush(heap, j)
+                else:
+                    row[j] = (y - v * x) % p
+        if len(pivots) == stop:
+            break
+    return pivots, independent

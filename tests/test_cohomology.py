@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxclass import cohomology, linalg
-from maxclass.algebra import GradedAlgebra, preset, subalgebra, validate
+from maxclass.algebra import GradedAlgebra, _m0_rule, preset, subalgebra, validate
 from maxclass.cochain import Cochain, basis, differential
 from maxclass.cohomology import (NotCocycle, RouteMismatch, betti, betti_table,
                                  class_coordinates, class_rank, euler_characteristic,
@@ -211,7 +211,7 @@ def test_integral_representative_coefficients_are_int():
     assert all(type(x) is int for x in integral)
 
 
-# --- the rank certificate from d^q d^{q-1} = 0 ---------------------------------
+# --- the rank certificate from d∘d = 0 ------------------------------------------
 
 def _uncapped_betti(alg, q, k, field=QQ):
     """dim C^q_k - rank d^q_k - rank d^{q-1}_k, each rank on the certified
@@ -282,3 +282,48 @@ def test_acyclic_cells_take_one_echelon_pass(monkeypatch):
             assert (len(passes) - before == 1) == (b == 0), (q, k)
             one_pass += b == 0
     assert one_pass > 50
+
+
+def _m0_with_e2_e3():
+    """m0 with one extra bracket [e2, e3] = e5, built directly: Jacobi
+    first fails on e1, e2, e3 ([e1, [e2, e3]] = e6, the other two terms
+    are 0), so d d e^i != 0 first at i = 6."""
+    def rule(i, j):
+        return [(Fraction(1), 5)] if (i, j) == (2, 3) else _m0_rule(i, j)
+    return GradedAlgebra("m0+[e2,e3]", rule, lambda i: True, key="test:m0+[e2,e3]")
+
+
+def test_d_squared_check_fails_from_the_first_failing_generator():
+    alg = _m0_with_e2_e3()
+    for weights in (range(16), range(15, -1, -1), range(16)):
+        assert [k for k in weights if not cohomology._d_squared_vanishes(alg, k)] \
+            == [k for k in weights if k >= 6]
+    assert all(cohomology._d_squared_vanishes(preset(name), 40) for name in ("m0", "m2", "l1"))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_betti_equals_the_uncapped_route_past_the_first_failing_generator(field):
+    alg = _m0_with_e2_e3()
+    for q in range(5):
+        for k in range(16):
+            assert betti(alg, q, k, field) == _uncapped_betti(alg, q, k, field), (q, k)
+
+
+def test_fp_cells_take_one_echelon_pass(monkeypatch):
+    """Over F_p the one capped pass is the rank, reached or not: every
+    nonzero d^q_k costs exactly one echelon pass, also where d∘d != 0."""
+    passes = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda *args: passes.append(1) or echelon(*args))
+    cohomology._cached_rank.cache_clear()
+    for alg, p, kmax in ((preset("l1"), 2 ** 31 - 1, 31), (preset("m0"), 3, 21),
+                         (_m0_with_e2_e3(), 5, 16)):
+        field = PrimeField(p)
+        for k in range(kmax):
+            for q in range(5):
+                before = len(passes)
+                betti(alg, q, k, field)
+                nonzero = bool(basis(alg, q, k)) \
+                    and not cohomology._cached_matrix(alg, field, q, k).is_zero()
+                assert len(passes) - before == nonzero, (alg, q, k)

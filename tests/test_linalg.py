@@ -389,3 +389,48 @@ def test_results_do_not_depend_on_row_order(case, data):
     for sol in sols:
         if sol is not None:
             assert M.apply(sol) == v
+
+
+# --- the accumulator kernel against the heap echelon --------------------------
+
+def _same_echelon(rows, p, stop=None):
+    pivots, independent = linalg._echelon(rows, p, stop)
+    ref_pivots, ref_independent = oracle.heap_echelon(rows, p, stop)
+    assert pivots == ref_pivots
+    assert len(independent) == len(ref_independent)
+    assert all(a is b for a, b in zip(independent, ref_independent))
+
+
+@st.composite
+def sparse_integer_rows(draw, p):
+    """Sparse integer rows and a stop: entries up to 2^80 in size, some
+    of them 0 mod p, and some rows integer combinations of earlier ones,
+    which reduce to zero."""
+    ncols = draw(st.integers(1, 16))
+    entry = st.one_of(st.integers(-2 ** 80, 2 ** 80), st.integers(-3, 3),
+                      st.integers(-2, 2).map(lambda x: x * p))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+            x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            row = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in a.keys() | b.keys()}
+            rows.append({c: v for c, v in row.items() if v})
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, ncols - 1), entry,
+                                             min_size=1, max_size=5)))
+    return rows, draw(st.one_of(st.none(), st.integers(0, ncols)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 2 ** 31 - 1, next(linalg._primes())])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_echelon_equals_the_heap_echelon(p, data):
+    rows, stop = data.draw(sparse_integer_rows(p))
+    _same_echelon(rows, p, stop)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=repr)
+def test_echelon_equals_the_heap_echelon_on_l1(field):
+    rows = linalg._rows(differential_matrix(preset("l1"), 3, 30, field))
+    _same_echelon(rows, field.characteristic or next(linalg._primes()))
