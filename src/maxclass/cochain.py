@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, lru_cache
+from math import inf
 
 from .algebra import GradedAlgebra
 from .fields import QQ, Field
@@ -20,6 +21,10 @@ Monomial = tuple[int, ...]
 
 class FieldMismatch(ValueError):
     pass
+
+
+class UnsortedImage(ValueError):
+    """An image tuple of a derivation is not strictly increasing."""
 
 
 def sort_with_sign(indices) -> tuple[Monomial, int] | None:
@@ -166,42 +171,93 @@ def basis(alg: GradedAlgebra, q: int, k: int) -> list[Monomial]:
     return increasing_tuples(alg.generators_up_to(k), q, k)
 
 
+def _derived_terms(mono: Monomial, images):
+    """The terms of a derivation on one monomial, as (monomial,
+    coefficient, odd): the coefficient is passed through from images(i)
+    as given, and the term's sign is (-1)^odd.
+
+    Position t of mono is replaced by each image tuple `new` of mono[t].
+    With rest = mono[:t] + mono[t+1:], each x_j of new is placed at
+    pos_j = bisect_left(rest, x_j); the term vanishes if some x_j is in
+    rest, and is otherwise sorted(rest + new) with the sign
+    (-1)^(t + sum_j pos_j): moving e^(mono[t]) to the front costs
+    (-1)^t, and merging new into rest costs (-1)^(sum_j pos_j).  That is
+    the permutation sign of head + new + tail times the Koszul sign
+    (-1)^(t * (len(new) - 1)): none for an even derivation (1-tuples),
+    (-1)^t for the differential (pairs) and for the interior product
+    (the empty tuple).  The rule needs every image tuple strictly
+    increasing: UnsortedImage is raised for one that is not, unless its
+    term vanishes on an index met before the first one out of order
+    (such a term is zero in any order)."""
+    for t, i in enumerate(mono):
+        rest = mono[:t] + mono[t + 1:]
+        n = len(rest)
+        for v, new in images(i):
+            odd, last = t, -inf
+            for x in new:
+                if x <= last:
+                    raise UnsortedImage(f"image {new!r} of e^{i} is not strictly increasing")
+                last = x
+                pos = bisect_left(rest, x)
+                if pos < n and rest[pos] == x:
+                    break
+                odd += pos
+            else:
+                yield tuple(sorted(rest + new)), v, odd & 1
+
+
 def derive(c: Cochain, images) -> Cochain:
     """Extend a map on generators to a derivation of the exterior algebra.
 
-    images(i) lists (coefficient, index tuple) pairs, the image of e^i;
-    coefficients are field elements (the integer 1 is one in every
-    field).  Each position t of each monomial is replaced in turn by
-    each image tuple, the result is sorted with its permutation sign,
-    and the term takes the Koszul sign (-1)^(t * (len(tuple) - 1)):
-    none for an even derivation (1-tuples), (-1)^t for the differential
-    (pairs) and for the interior product (the empty tuple)."""
+    images(i) lists (coefficient, index tuple) pairs, the image of e^i,
+    each tuple strictly increasing; coefficients are field elements (the
+    integer 1 is one in every field).  Each position t of each monomial
+    is replaced in turn by each image tuple with the sign
+    (-1)^(t + sum_j pos_j) of `_derived_terms`."""
     f = c.field
-    out = Cochain(f)
+    out: dict[Monomial, object] = {}
     for mono, coeff in c.terms.items():
-        for t, i in enumerate(mono):
-            head, tail = mono[:t], mono[t + 1:]
-            for v, new in images(i):
-                srt = sort_with_sign(head + new + tail)
-                if srt is None:
+        for m, v, odd in _derived_terms(mono, images):
+            term = f.mul(coeff, v)
+            if odd:
+                term = f.neg(term)
+            prev = out.get(m)
+            if prev is not None:
+                term = f.add(prev, term)
+                if f.is_zero(term):
+                    del out[m]
                     continue
-                m, sign = srt
-                if t * (len(new) - 1) % 2:
-                    sign = -sign
-                term = f.mul(coeff, v)
-                out.add_term(m, term if sign > 0 else f.neg(term))
-    return out
+            out[m] = term
+    return Cochain(f, out)
 
 
-def map_matrix(field: Field, source, target, fn) -> SparseMatrix:
-    """Matrix of a linear map between spans of monomials: column j holds
-    the coordinates of fn(source[j]) in the monomial basis target, where
-    fn takes and returns cochains."""
+def map_matrix(field: Field, source, target, images) -> SparseMatrix:
+    """Matrix of the derivation with these images between spans of
+    monomials: column j holds the coordinates of the image of source[j]
+    in the monomial basis target.  images(i) lists (coefficient, strictly
+    increasing index tuple) pairs, the image of e^i, as in `derive`.
+    Each column is written straight into the entries, adding only where
+    a row repeats."""
+    f = field
     row_index = {m: r for r, m in enumerate(target)}
+
+    @cache
+    def signed(i):
+        # each nonzero image coefficient with its negative, indexed by odd
+        return [((v, f.neg(v)), new) for v, new in images(i) if not f.is_zero(v)]
+
     entries: dict[tuple[int, int], object] = {}
     for j, mono in enumerate(source):
-        for m, v in fn(Cochain(field, {mono: field.one})).terms.items():
-            entries[(row_index[m], j)] = v
+        for m, vs, odd in _derived_terms(mono, signed):
+            key = (row_index[m], j)
+            v = vs[odd]
+            prev = entries.get(key)
+            if prev is not None:
+                v = f.add(prev, v)
+                if f.is_zero(v):
+                    del entries[key]
+                    continue
+            entries[key] = v
     return SparseMatrix(field, len(target), len(source), entries,
                         row_labels=target, col_labels=source)
 
@@ -231,9 +287,8 @@ def differential(alg: GradedAlgebra, c: Cochain) -> Cochain:
 def differential_matrix(alg: GradedAlgebra, q: int, k: int,
                         field: Field = QQ) -> SparseMatrix:
     """Matrix of d restricted to degree q, weight k, in lexicographic bases."""
-    images = _generator_images(alg, field)
     return map_matrix(field, basis(alg, q, k), basis(alg, q + 1, k),
-                      lambda c: derive(c, images))
+                      _generator_images(alg, field))
 
 
 def _term_order(mono: Monomial):

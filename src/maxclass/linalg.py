@@ -237,6 +237,8 @@ def _rational(u: int, m: int, bound: int) -> int | Fraction | None:
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
+    if t1 == 1 or t1 == -1:
+        return r1 * t1
     return QQ.of(r1, t1)
 
 
@@ -327,6 +329,8 @@ def _rows(M: SparseMatrix, rhs: dict[int, object] | None = None) -> list[dict[in
     rows = [by_row[r] for r in order]
     if M.field.characteristic == 0:
         for row in rows:
+            if all(type(v) is int for v in row.values()):
+                continue
             den = lcm(*(v.denominator for v in row.values()))
             for c, v in row.items():
                 row[c] = v.numerator * (den // v.denominator)

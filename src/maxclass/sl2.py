@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .cochain import derive, increasing_tuples, map_matrix
+from .cochain import increasing_tuples, map_matrix
 from .fields import QQ, Field
 
 
@@ -98,8 +98,7 @@ def x_derivation_matrix(mod: Sl2Module, q: int, k: int):
 
     def images(i):
         return [(f.from_rational(_x_coeff(mod, i)), (i - 1,))] if i > 0 else []
-    return map_matrix(f, wedge_basis(mod, q, k), wedge_basis(mod, q, k - 1),
-                      lambda c: derive(c, images))
+    return map_matrix(f, wedge_basis(mod, q, k), wedge_basis(mod, q, k - 1), images)
 
 
 def primitive_basis(mod: Sl2Module, q: int, k: int) -> list[dict]:
