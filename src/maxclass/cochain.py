@@ -165,10 +165,16 @@ def increasing_tuples(indices, q: int, k: int) -> list[Monomial]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _basis(alg: GradedAlgebra, q: int, k: int) -> tuple[Monomial, ...]:
+    return tuple(increasing_tuples(alg.generators_up_to(k), q, k))
+
+
 def basis(alg: GradedAlgebra, q: int, k: int) -> list[Monomial]:
     """All strictly increasing q-tuples of generators with index sum k,
-    in lexicographic order."""
-    return increasing_tuples(alg.generators_up_to(k), q, k)
+    in lexicographic order.  Each cell is enumerated once per algebra;
+    every call returns a new list."""
+    return list(_basis(alg, q, k))
 
 
 def _derived_terms(mono: Monomial, images):
@@ -258,8 +264,8 @@ def map_matrix(field: Field, source, target, images) -> SparseMatrix:
                     del entries[key]
                     continue
             entries[key] = v
-    return SparseMatrix(field, len(target), len(source), entries,
-                        row_labels=target, col_labels=source)
+    return SparseMatrix._of_nonzero(field, len(target), len(source), entries,
+                                    row_labels=target, col_labels=source)
 
 
 @lru_cache(maxsize=None)

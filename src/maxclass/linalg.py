@@ -14,7 +14,12 @@ elimination: it runs modulo word-size primes, the RREF kernel vectors
 reconstruction, and nothing is returned before an exact integer check
 (see _certified_kernel).  A rank with a bound from the caller
 (rank(M, at_most)) stops its one pass at that bound; over Q a pass
-that reaches it needs no check, since its count is certified.
+that reaches it needs no check, since its count is certified.  That
+pass takes the rows in another order (see _triangular_first): one row
+for each leading column, then one for each last column not yet met,
+then the rest, so that few rows reduce to zero before its last pivot.
+Every full pass keeps the bottom-up order: it meets every row anyway,
+and there the new order would only add fill-in.
 """
 from __future__ import annotations
 
@@ -47,12 +52,22 @@ class SparseMatrix:
             raise DimensionMismatch("label lengths do not match the shape")
 
     @classmethod
+    def _of_nonzero(cls, field: Field, rows: int, cols: int,
+                    entries: dict[tuple[int, int], object],
+                    row_labels=None, col_labels=None) -> "SparseMatrix":
+        """A matrix that keeps `entries` as it is: the caller has written
+        no zero entry, so none is filtered out."""
+        M = cls(field, rows, cols, None, row_labels, col_labels)
+        M.entries = entries
+        return M
+
+    @classmethod
     def from_dense(cls, field: Field, dense, row_labels=None, col_labels=None):
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
         entries = {(r, c): dense[r][c] for r in range(rows) for c in range(cols)
                    if not field.is_zero(dense[r][c])}
-        return cls(field, rows, cols, entries, row_labels, col_labels)
+        return cls._of_nonzero(field, rows, cols, entries, row_labels, col_labels)
 
     def to_dense(self) -> list[list[object]]:
         zero = self.field.zero
@@ -62,9 +77,9 @@ class SparseMatrix:
         return dense
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.field, self.cols, self.rows,
-                            {(c, r): v for (r, c), v in self.entries.items()},
-                            row_labels=self.col_labels, col_labels=self.row_labels)
+        return SparseMatrix._of_nonzero(self.field, self.cols, self.rows,
+                                        {(c, r): v for (r, c), v in self.entries.items()},
+                                        row_labels=self.col_labels, col_labels=self.row_labels)
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
@@ -85,8 +100,8 @@ class SparseMatrix:
             for c, v in acc.items():
                 if not f.is_zero(v):
                     entries[(r, c)] = v
-        return SparseMatrix(f, self.rows, other.cols, entries,
-                            row_labels=self.row_labels, col_labels=other.col_labels)
+        return SparseMatrix._of_nonzero(f, self.rows, other.cols, entries,
+                                        row_labels=self.row_labels, col_labels=other.col_labels)
 
     def apply(self, vec: dict) -> dict:
         """Matrix times a coefficient map keyed by column labels."""
@@ -337,6 +352,32 @@ def _rows(M: SparseMatrix, rhs: dict[int, object] | None = None) -> list[dict[in
     return rows
 
 
+def _one_per(rows: list[dict[int, int]], column, met: set[int]):
+    """The first row for each value of column(row) not in `met`, and the
+    other rows, both in the given order; `met` gains the new values."""
+    chosen, others = [], []
+    for row in rows:
+        c = column(row)
+        if c in met:
+            others.append(row)
+        else:
+            met.add(c)
+            chosen.append(row)
+    return chosen, others
+
+
+def _triangular_first(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The rows regrouped for a capped pass: one row for each leading
+    column, then one row for each last column not yet met, then the
+    rest, each group in the given order.  Rows with distinct leading (or
+    last) columns form a triangular block with a nonzero diagonal, so
+    the pass meets most of its pivots before any row that reduces to
+    zero (structural pivots: Faugère & Lachartre, PASCO 2010)."""
+    leading, rest = _one_per(rows, min, set())
+    last, rest = _one_per(rest, max, {max(row) for row in leading})
+    return leading + last + rest
+
+
 def _kernel(M: SparseMatrix, rhs: dict[int, object] | None = None):
     """Pivot columns and RREF kernel vectors, keyed by column index, of M,
     or of [M | rhs] with rhs keyed by row index; with rhs, only the
@@ -369,7 +410,12 @@ def rank(M: SparseMatrix, at_most: int | None = None) -> int:
 
     `at_most` is a promise of the caller: rank M <= at_most (over Q,
     rank_Q M <= at_most).  One echelon pass, modulo p over F_p and modulo
-    the first prime over Q, then stops at its at_most-th pivot.  Over F_p
+    the first prime over Q, then stops at its at_most-th pivot.  It takes
+    the rows with distinct leading columns first, then those with
+    distinct last columns, then the rest (_triangular_first): each of
+    the first two groups is independent, so few rows reduce to zero
+    before the last pivot.  The pivot count does not depend on the
+    order.  Over F_p
     that pass is the rank, whether it stops at the bound or ends below
     it.  Over Q a pass that gets there has found the rank, since rank_p
     <= rank_Q <= at_most; one that ends below at_most proves nothing, and
@@ -377,7 +423,7 @@ def rank(M: SparseMatrix, at_most: int | None = None) -> int:
     rank."""
     if at_most is not None and not M.is_zero():
         p = M.field.characteristic
-        found = len(_echelon(_rows(M), p or next(_primes()), at_most)[0])
+        found = len(_echelon(_triangular_first(_rows(M)), p or next(_primes()), at_most)[0])
         if p or found == at_most:
             return found
     return len(pivot_columns(M))

@@ -57,6 +57,23 @@ def test_basis_dimensions_match_partition_counts():
             assert dim == partitions_P(q, k - q * (q + 1) // 2)
 
 
+def test_basis_enumerates_each_cell_once(monkeypatch):
+    calls = []
+    enumerate_ = cochain.increasing_tuples
+    monkeypatch.setattr(cochain, "increasing_tuples",
+                        lambda *args: calls.append(args) or enumerate_(*args))
+    cochain._basis.cache_clear()
+    m0 = preset("m0")
+    first = basis(m0, 3, 12)
+    expected = list(first)
+    # a caller's list is its own
+    first.append((0, 0, 0))
+    first[0] = ()
+    assert basis(m0, 3, 12) == expected
+    assert type(basis(m0, 3, 12)) is list
+    assert len(calls) == 1
+
+
 def test_basis_empty_and_scalar_cells():
     m0 = preset("m0")
     assert basis(m0, 0, 0) == [()]

@@ -74,6 +74,36 @@ def test_transpose_and_matmul():
     assert N.to_dense()[1][1] == Fraction(20)
 
 
+@pytest.mark.parametrize("field, zeros", [(QQ, [0, Fraction(0)]),
+                                          (PrimeField(7), [0, 7, -14])], ids=repr)
+def test_constructor_drops_zero_entries(field, zeros):
+    """Over F_p an entry is zero when it is 0 mod p, not only when it is
+    falsy, and every construction from the caller's own dict drops it."""
+    entries = {(0, c): z for c, z in enumerate(zeros)}
+    entries[(1, 0)] = 1
+    M = SparseMatrix(field, 2, len(zeros), entries)
+    assert M.entries == {(1, 0): 1}
+    assert M.transpose().matmul(M).entries == {(0, 0): 1}
+    assert SparseMatrix.from_dense(field, M.to_dense() + [zeros]).entries == {(1, 0): 1}
+
+
+def test_assembly_does_not_filter_its_entries_again(monkeypatch):
+    """map_matrix writes no zero entry, so its matrix skips the
+    constructor's filter."""
+    filtered = []
+    init = SparseMatrix.__init__
+
+    def recorded(self, field, rows, cols, entries=None, *args, **kwargs):
+        filtered.append(len(entries or ()))
+        init(self, field, rows, cols, entries, *args, **kwargs)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", recorded)
+    field = PrimeField(2 ** 31 - 1)
+    M = differential_matrix(preset("l1"), 3, 24, field)
+    assert M.entries and not any(field.is_zero(v) for v in M.entries.values())
+    assert not any(filtered)
+
+
 @settings(max_examples=40)
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_rank_matches_fraction_rref(m, n, data):
@@ -389,6 +419,86 @@ def test_results_do_not_depend_on_row_order(case, data):
     for sol in sols:
         if sol is not None:
             assert M.apply(sol) == v
+
+
+# --- the capped pass --------------------------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(permuted_matrices(), st.integers(0, 3))
+def test_capped_rank_equals_the_rank(case, extra):
+    """rank(M, at_most=b) is rank(M) for every true bound b >= rank M,
+    the tight one included, and on every row order."""
+    field, dense, perm = case
+    M = dense_matrix(field, dense)
+    P = SparseMatrix.from_dense(field, [dense[r] for r in perm], row_labels=list(perm))
+    r = rank(M)
+    assert rank(P) == r
+    for X in (M, P):
+        assert rank(X, at_most=r) == r
+        assert rank(X, at_most=r + 1 + extra) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_matrices())
+def test_triangular_first_returns_every_row_once(case):
+    field, dense, perm = case
+    rows = linalg._rows(SparseMatrix.from_dense(field, [dense[r] for r in perm]))
+    regrouped = linalg._triangular_first(rows)
+    assert len(regrouped) == len(rows)
+    assert sorted(map(id, regrouped)) == sorted(map(id, rows))
+
+
+def _zero_rows_before_the_last_pivot(M, at_most, monkeypatch):
+    """rank(M, at_most) with `_echelon` recorded: the rows its one pass
+    got that reduced to zero before the last row that gave a pivot."""
+    passes = []
+    echelon = linalg._echelon
+
+    def recorded(rows, p, stop=None):
+        pivots, independent = echelon(rows, p, stop)
+        passes.append((rows, independent))
+        return pivots, independent
+
+    monkeypatch.setattr(linalg, "_echelon", recorded)
+    assert rank(M, at_most) == at_most
+    (rows, independent), = passes
+    kept = {id(row) for row in independent}
+    last = max(i for i, row in enumerate(rows) if id(row) in kept)
+    return sum(id(row) not in kept for row in rows[:last])
+
+
+@pytest.mark.parametrize("field, q, k", [(PrimeField(2 ** 31 - 1), 3, 46), (QQ, 4, 40)],
+                         ids=["l1-3-46-fp", "l1-4-40-qq"])
+def test_capped_pass_meets_few_zero_rows_before_its_last_pivot(field, q, k, monkeypatch):
+    """The capped pass takes the triangular blocks first; in bottom-up
+    order alone it met 327 and 164 zero rows here."""
+    l1 = preset("l1")
+    d = differential_matrix(l1, q, k, field)
+    at_most = d.cols - rank(differential_matrix(l1, q - 1, k, field))
+    assert _zero_rows_before_the_last_pivot(d, at_most, monkeypatch) <= 10
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=repr)
+def test_full_passes_keep_the_bottom_up_order(field, monkeypatch):
+    """Only the capped pass regroups its rows: a full pass meets every
+    row, and there the regrouping would only add fill-in."""
+    M = differential_matrix(preset("l1"), 3, 30, field)
+    v = {M.row_labels[0]: field.one}
+    calls = []
+    echelon = linalg._echelon
+
+    def recorded(rows, p, stop=None):
+        calls.append(rows)
+        return echelon(rows, p, stop)
+
+    monkeypatch.setattr(linalg, "_echelon", recorded)
+    for call, bottom_up in ((linalg.pivot_columns, linalg._rows(M)),
+                            (kernel_basis, linalg._rows(M)), (rank, linalg._rows(M)),
+                            (lambda M: solve_in_image(M, v), linalg._rows(M, {0: field.one}))):
+        calls.clear()
+        call(M)
+        # the first pass (over Q the later primes take the rows it kept)
+        assert calls[0] == bottom_up
 
 
 # --- the accumulator kernel against the heap echelon --------------------------
