@@ -1,4 +1,5 @@
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +32,37 @@ def enum_V(q, k, bound=None):
     if q == 0:
         return 1 if k == 0 else 0
     return rec(q, 1, k) if k >= 0 else 0
+
+
+KMAX = 40
+
+
+def _sums(tuples, weight=sum):
+    """How many of the tuples have each weight up to KMAX."""
+    return Counter(w for w in map(weight, tuples) if w <= KMAX)
+
+
+@pytest.mark.parametrize("q", range(7))
+def test_counters_against_itertools_enumeration(q):
+    """Every partition counter, brute-forced by itertools for k <= 40."""
+    top = KMAX - max(q - 1, 0)  # largest part of a partition of <= KMAX into q parts
+    multisets = _sums(combinations_with_replacement(range(1, top + 1), q))
+    distinct = _sums(combinations(range(1, top + 1), q))
+    bounded = {b: _sums(combinations(range(1, b + 1), q)) for b in range(13)}
+    for k in range(-3, KMAX + 1):
+        assert partitions_P(q, k) == multisets[k], (q, k)
+        assert distinct_V(q, k) == distinct[k], (q, k)
+        for b, counts in bounded.items():
+            assert bounded_distinct_V(q, b, k) == counts[k], (q, b, k)
+    # an m2 class for q >= 3 is 3 <= i_1 < ... < i_{q-2} of weight
+    # sum(i) + 2 i_{q-2} + 3; below that, the four sporadic classes
+    if q >= 3:
+        m2 = _sums(combinations(range(3, KMAX // 3 + 1), q - 2),
+                   lambda s: sum(s) + 2 * s[-1] + 3)
+    else:
+        m2 = Counter({0: [0], 1: [1, 2], 2: [5, 7]}[q])
+    for k in range(-3, KMAX + 1):
+        assert m2_basis_count(q, k) == m2[k], (q, k)
 
 
 @pytest.mark.parametrize("q", range(5))

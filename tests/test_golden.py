@@ -1,9 +1,10 @@
 """Golden texts of the cochains built from derivations of the exterior
 algebra (right inverses, cup products, w and omega variants) and of the
 sl(2) primitive vectors, pinned as files under tests/golden/; and the
-command-line output of every verify suite and of two l1 Betti tables,
-pinned byte for byte under tests/golden/cli/; and the long exact
-sequence reports of both splits, pinned under tests/golden/exactness/."""
+command-line output of every verify suite, of two l1 Betti tables and
+of both generating functions, pinned byte for byte under
+tests/golden/cli/; and the long exact sequence reports of both splits,
+pinned under tests/golden/exactness/."""
 import os
 
 import pytest
@@ -53,7 +54,9 @@ BETTI_L1 = ["betti", "--algebra", "l1", "--qmax", "3", "--kmax", "30", "--format
 CLI_CASES = {f"verify_{s}.json": ["verify", s, "--format", "json"] for s in SUITES} \
     | {f"verify_{s}.txt": ["verify", s] for s in SUITES} \
     | {"betti_l1_q3_k30_q.csv": BETTI_L1,
-       "betti_l1_q3_k30_fp2147483647.csv": BETTI_L1 + ["--field", "fp:2147483647"]}
+       "betti_l1_q3_k30_fp2147483647.csv": BETTI_L1 + ["--field", "fp:2147483647"]} \
+    | {f"gf_{a}.txt": ["gf", "--algebra", a] for a in ("m0", "m2")} \
+    | {f"gf_{a}.json": ["gf", "--algebra", a, "--format", "json"] for a in ("m0", "m2")}
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
