@@ -157,6 +157,8 @@ _PARAM_PRESETS = {"lk": lk, "m0n": m0n, "m2n": m2n, "l1quot": l1quot}
 def preset(name: str, param: int | None = None) -> GradedAlgebra:
     """Build a preset algebra; parametrized names are "lk", "m0n", "m2n", "l1quot"."""
     if name in _PRESETS:
+        if param is not None:
+            raise InvalidParameter(f"preset {name!r} takes no parameter")
         return _PRESETS[name]()
     if name in _PARAM_PRESETS:
         if param is None:

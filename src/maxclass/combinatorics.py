@@ -2,33 +2,17 @@
 
 This is the independent arithmetic oracle: every dimension computed by
 linear algebra elsewhere is checked against a count produced here.
-All coefficients are plain integers.
+All coefficients are plain integers.  Each job is done once:
+
+- one counter, bounded_distinct_V, the t^n coefficient of a Gaussian
+  binomial (Andrews, The Theory of Partitions, ch. 3); partitions_P,
+  distinct_V, bordemann_dim and m2_basis_count are all sums of its values;
+- one truncated power series, Series, in t (weight) and x (degree); the
+  Euler product and the pentagonal series are series in t alone.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def partitions_P(q: int, k: int) -> int:
-    """Number of partitions of k into exactly q positive parts."""
-    if q < 0 or k < 0:
-        return 0
-    # strip 1 off each part: partitions of k - q into parts of size <= q
-    n = k - q
-    if n < 0:
-        return 0
-    ways = [1] + [0] * n
-    for part in range(1, q + 1):
-        for m in range(part, n + 1):
-            ways[m] += ways[m - part]
-    return ways[n]
-
-
-def distinct_V(q: int, k: int) -> int:
-    """Number of partitions of k into q distinct positive parts."""
-    if q < 0:
-        return 0
-    return partitions_P(q, k - q * (q - 1) // 2)
 
 
 def bounded_distinct_V(q: int, bound: int, N: int) -> int:
@@ -50,70 +34,25 @@ def bounded_distinct_V(q: int, bound: int, N: int) -> int:
     return coeffs[n]
 
 
+def partitions_P(q: int, k: int) -> int:
+    """Number of partitions of k into exactly q positive parts."""
+    # x_1 <= ... <= x_q plus (0, 1, ..., q - 1) are q distinct parts <= k
+    return bounded_distinct_V(q, k, k + q * (q - 1) // 2)
+
+
+def distinct_V(q: int, k: int) -> int:
+    """Number of partitions of k into q distinct positive parts."""
+    return bounded_distinct_V(q, k, k)
+
+
 def pentagonal(q: int) -> tuple[int, int]:
     """The pair of generalized pentagonal numbers ((3q^2-q)/2, (3q^2+q)/2)."""
     return (3 * q * q - q) // 2, (3 * q * q + q) // 2
 
 
-class Series1:
-    """Truncated integer power series in one variable t."""
-
-    def __init__(self, coeffs: dict[int, int] | None = None, order: int = 0):
-        self.order = order
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c and e <= order}
-
-    def coeff(self, e: int) -> int:
-        if e > self.order:
-            raise ValueError(f"exponent {e} beyond truncation {self.order}")
-        return self.coeffs.get(e, 0)
-
-    def __eq__(self, other):
-        return (self.order, self.coeffs) == (other.order, other.coeffs)
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return Series1(out, order)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, c: int):
-        return Series1({e: c * v for e, v in self.coeffs.items()}, self.order)
-
-    def __mul__(self, other):
-        order = min(self.order, other.order)
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e <= order:
-                    out[e] = out.get(e, 0) + c1 * c2
-        return Series1(out, order)
-
-    def text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            mon = "1" if e == 0 else ("t" if e == 1 else f"t^{e}")
-            if e == 0:
-                term = str(abs(c))
-            else:
-                term = mon if abs(c) == 1 else f"{abs(c)}*{mon}"
-            parts.append(("- " if c < 0 else "+ ") + term)
-        head = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
-        return " ".join([head] + parts[1:])
-
-    def to_json(self):
-        return [{"t": e, "coeff": self.coeffs[e]} for e in sorted(self.coeffs)]
-
-
-class Series2:
-    """Truncated integer series in t (weight) and x (degree)."""
+class Series:
+    """Truncated integer power series in t (weight) and x (degree), keyed
+    by exponent pairs (t, x); a series in t alone keeps x = 0."""
 
     def __init__(self, coeffs: dict[tuple[int, int], int] | None = None,
                  t_order: int = 0, x_order: int = 0):
@@ -124,18 +63,17 @@ class Series2:
             if c and e[0] <= t_order and e[1] <= x_order
         }
 
-    def coeff(self, t_exp: int, x_exp: int) -> int:
+    def coeff(self, t_exp: int, x_exp: int = 0) -> int:
         if t_exp > self.t_order or x_exp > self.x_order:
             raise ValueError("exponent beyond truncation")
         return self.coeffs.get((t_exp, x_exp), 0)
 
     def __add__(self, other):
-        t_order = min(self.t_order, other.t_order)
-        x_order = min(self.x_order, other.x_order)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return Series2(out, t_order, x_order)
+        return Series(out, min(self.t_order, other.t_order),
+                      min(self.x_order, other.x_order))
 
     def __mul__(self, other):
         t_order = min(self.t_order, other.t_order)
@@ -146,24 +84,24 @@ class Series2:
                 t, x = t1 + t2, x1 + x2
                 if t <= t_order and x <= x_order:
                     out[(t, x)] = out.get((t, x), 0) + c1 * c2
-        return Series2(out, t_order, x_order)
+        return Series(out, t_order, x_order)
 
     def to_json(self):
         return [{"t": t, "x": x, "coeff": self.coeffs[(t, x)]}
                 for (t, x) in sorted(self.coeffs)]
 
 
-def euler_product(terms: int) -> Series1:
+def euler_product(terms: int) -> Series:
     """prod_{j=1}^{terms} (1 - t^j), truncated at t^terms."""
-    out = Series1({0: 1}, terms)
+    out = Series({(0, 0): 1}, terms)
     for j in range(1, terms + 1):
-        out = out * Series1({0: 1, j: -1}, terms)
+        out = out * Series({(0, 0): 1, (j, 0): -1}, terms)
     return out
 
 
-def pentagonal_series(terms: int) -> Series1:
+def pentagonal_series(terms: int) -> Series:
     """sum_k (-1)^k (t^{(3k^2-k)/2} + t^{(3k^2+k)/2}), truncated at t^terms."""
-    coeffs: dict[int, int] = {}
+    coeffs: dict[tuple[int, int], int] = {}
     k = 0
     while True:
         km, kp = pentagonal(k)
@@ -172,30 +110,30 @@ def pentagonal_series(terms: int) -> Series1:
         sign = -1 if k % 2 else 1
         for e in ({km, kp} if k else {0}):
             if e <= terms:
-                coeffs[e] = coeffs.get(e, 0) + sign
+                coeffs[(e, 0)] = coeffs.get((e, 0), 0) + sign
         k += 1
-    return Series1(coeffs, terms)
+    return Series(coeffs, terms)
 
 
-def _distinct_parts_product(min_part: int, t_terms: int, x_terms: int) -> Series2:
+def _distinct_parts_product(min_part: int, t_terms: int, x_terms: int) -> Series:
     """prod_{j=min_part}^{t_terms} (1 + x t^j), truncated."""
-    out = Series2({(0, 0): 1}, t_terms, x_terms)
+    out = Series({(0, 0): 1}, t_terms, x_terms)
     for j in range(min_part, t_terms + 1):
-        out = out * Series2({(0, 0): 1, (j, 1): 1}, t_terms, x_terms)
+        out = out * Series({(0, 0): 1, (j, 1): 1}, t_terms, x_terms)
     return out
 
 
-def betti_gf(alg: str, t_terms: int, x_terms: int) -> Series2:
+def betti_gf(alg: str, t_terms: int, x_terms: int) -> Series:
     """Closed-form two-variable Betti generating function for m0 or m2."""
     if alg == "m0":
-        head = Series2({(1, 0): 1, (1, 1): 1}, t_terms, x_terms)
-        tail = Series2({(0, 0): 1, (1, 0): -1}, t_terms, x_terms) \
+        head = Series({(1, 0): 1, (1, 1): 1}, t_terms, x_terms)
+        tail = Series({(0, 0): 1, (1, 0): -1}, t_terms, x_terms) \
             * _distinct_parts_product(2, t_terms, x_terms)
         return head + tail
     if alg == "m2":
-        head = Series2({(0, 0): 1, (0, 1): 1}, t_terms, x_terms) \
-            * Series2({(1, 0): 1, (2, 0): 1, (3, 0): -1, (5, 1): 1}, t_terms, x_terms)
-        tail = Series2({(0, 0): 1, (1, 0): -1, (2, 0): -1, (3, 0): 1}, t_terms, x_terms) \
+        head = Series({(0, 0): 1, (0, 1): 1}, t_terms, x_terms) \
+            * Series({(1, 0): 1, (2, 0): 1, (3, 0): -1, (5, 1): 1}, t_terms, x_terms)
+        tail = Series({(0, 0): 1, (1, 0): -1, (2, 0): -1, (3, 0): 1}, t_terms, x_terms) \
             * _distinct_parts_product(3, t_terms, x_terms)
         return head + tail
     raise ValueError(f"no generating function for {alg!r}")
@@ -233,6 +171,9 @@ def small_closed_forms(n: int, q: int) -> int:
     return value.numerator // value.denominator
 
 
+_M2_SPORADIC = {0: (0,), 1: (1, 2), 2: (5, 7)}
+
+
 def m2_basis_count(q: int, k: int) -> int:
     """Number of basis classes of H^q_k for the two-generator preset m2,
     counted from the explicit cocycle list: low degrees are the four
@@ -243,32 +184,9 @@ def m2_basis_count(q: int, k: int) -> int:
     agrees with this count except at finitely many boundary weights per
     degree (e.g. q=3 weight 9), where this count is the correct one.
     """
-    if q < 0 or k < 0:
-        return 0
-    if q == 0:
-        return 1 if k == 0 else 0
-    if q == 1:
-        return 1 if k in (1, 2) else 0
-    if q == 2:
-        return 1 if k in (5, 7) else 0
-    r = q - 2
-
-    def count(slots, start, remaining):
-        # remaining = target minus contributions so far; the top index
-        # contributes 3 times (itself plus the appended adjacent pair)
-        if slots == 1:
-            # top index i contributes 3i + 3
-            rem = remaining - 3
-            return 1 if rem >= 3 * start and rem % 3 == 0 else 0
-        total = 0
-        i = start
-        while True:
-            # cheapest completion: i+1, ..., i+slots-1 with the last tripled
-            rest = sum(range(i + 1, i + slots)) + 2 * (i + slots - 1) + 3
-            if i + rest > remaining:
-                break
-            total += count(slots - 1, i + 1, remaining - i)
-            i += 1
-        return total
-
-    return count(r, 3, k)
+    if q < 3:
+        return int(k in _M2_SPORADIC.get(q, ()))
+    # fix the top index t: the other q - 3 indices, shifted down by 2, are
+    # distinct parts <= t - 3 of weight k - 3 t - 3 - 2 (q - 3)
+    return sum(bounded_distinct_V(q - 3, t - 3, k - 3 * t - 2 * q + 3)
+               for t in range(3, (k - 3) // 3 + 1))

@@ -152,6 +152,11 @@ def verify_exactness(split: IdealSplit, qmax: int, kmax: int,
         alg, q, kk = position(n + 1, k)
         return class_rank(alg, cochains, q, kk, field)
 
+    # map n's rank is node n's rank_out and node n + 1's rank_in
+    @cache
+    def image_rank(n, k):
+        return rank(n, k, images(n, k))
+
     nodes, first_failure = [], None
     for k in range(kmax + 1):
         for n in range(3 * qmax + 3):
@@ -159,7 +164,7 @@ def verify_exactness(split: IdealSplit, qmax: int, kmax: int,
             if j == 2 and k < w:
                 continue
             alg, _, kk = position(n, k)
-            rank_in, rank_out = rank(n - 1, k, images(n - 1, k)), rank(n, k, images(n, k))
+            rank_in, rank_out = image_rank(n - 1, k), image_rank(n, k)
             if rank_in is None or rank_out is None:
                 rank_in, rank_out, composite_zero = -1, -1, False
             else:

@@ -112,14 +112,24 @@ def d_minus1(c: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 # the omega expansion
 
+_FLOOR_MODES = {2: "m0", 3: "m2"}
+
+
+def _floor_mode(floor: int) -> str:
+    """The D1 rule of the ideal whose bottom generator is e^floor."""
+    if floor not in _FLOOR_MODES:
+        raise InvalidIndices(f"generator floor {floor} is neither 2 (m0) nor 3 (m2)")
+    return _FLOOR_MODES[floor]
+
+
 def omega(indices, field: Field = QQ, floor: int = 2) -> Cochain:
     """omega(i_1, ..., i_q) = sum_l (-1)^l D1^l(e^{i_1}^...^e^{i_q}) ^
     e^{i_q+1+l}: an explicitly closed (q+1)-cochain.  floor selects the
     bottom generator (2 for the m0 ideal, 3 for the shifted copy inside
     m2, where D1 additionally kills e^3)."""
+    mode = _floor_mode(floor)
     indices = _check_indices(indices, floor)
-    return _omega_sum(Cochain.monomial(field, indices), indices[-1],
-                      "m0" if floor == 2 else "m2")
+    return _omega_sum(Cochain.monomial(field, indices), indices[-1], mode)
 
 
 def omega_map(c: Cochain, floor: int = 2):
@@ -127,6 +137,7 @@ def omega_map(c: Cochain, floor: int = 2):
     an adjacent pair (r, r+1); it is replaced by omega of the monomial
     with the final index removed.  Monomials reaching below the
     generator floor are dropped (the count is reported)."""
+    _floor_mode(floor)
     f = c.field
     out = Cochain(f)
     dropped = 0

@@ -51,7 +51,6 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Base class; concrete fields are Rationals and PrimeField."""
 
-    kind: str
     characteristic: int
 
     def of(self, n, d=1):
@@ -68,7 +67,6 @@ class Field:
 
 
 class Rationals(Field):
-    kind = "Rationals"
     characteristic = 0
 
     zero = 0
@@ -112,8 +110,6 @@ class Rationals(Field):
 
 
 class PrimeField(Field):
-    kind = "PrimeField"
-
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")

@@ -126,21 +126,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} entries, {self.field!r})"
 
 
-class KernelBasis:
-    """Kernel vectors as coefficient maps keyed by column labels, in
-    reduced echelon form over the column order."""
-
-    def __init__(self, vectors: list[dict], col_labels):
-        self.vectors = vectors
-        self.col_labels = col_labels
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-
 class CertificationError(ArithmeticError):
     """The prime sequence ended before an exact check passed."""
 
@@ -429,11 +414,11 @@ def rank(M: SparseMatrix, at_most: int | None = None) -> int:
     return len(pivot_columns(M))
 
 
-def kernel_basis(M: SparseMatrix) -> KernelBasis:
-    """Basis of the null space, size cols - rank, reduced echelon form."""
+def kernel_basis(M: SparseMatrix) -> list[dict]:
+    """Basis of the null space, size cols - rank, in reduced echelon form
+    over the column order: coefficient maps keyed by column labels."""
     labels = M.col_labels
-    return KernelBasis([{labels[c]: x for c, x in vec.items()} for vec in _kernel(M)[1]],
-                       labels)
+    return [{labels[c]: x for c, x in vec.items()} for vec in _kernel(M)[1]]
 
 
 def solve_in_image(M: SparseMatrix, v: dict):

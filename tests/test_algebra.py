@@ -55,6 +55,12 @@ def test_preset_parameter_validation():
         preset("nope")
 
 
+@pytest.mark.parametrize("name", ["m0", "m2", "l1"])
+def test_unparametrized_preset_refuses_a_parameter(name):
+    with pytest.raises(InvalidParameter):
+        preset(name, 5)
+
+
 @pytest.mark.parametrize("name,param", [("m0", None), ("m2", None),
                                         ("l1", None), ("lk", 2),
                                         ("m0n", 7), ("m2n", 7), ("l1quot", 7)])

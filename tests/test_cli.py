@@ -98,6 +98,14 @@ def test_bad_algebra_spec(capsys):
     json.loads(err.strip())
 
 
+@pytest.mark.parametrize("spec", ["m0:5", "m2:5", "l1:5"])
+def test_parameter_on_an_unparametrized_preset_is_a_usage_error(spec, capsys):
+    code, out, err = run(["betti", "--algebra", spec, "--q", "2", "--k", "50"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "UsageError"
+
+
 def test_bad_field_spec(capsys):
     code, _, err = run(["betti", "--algebra", "m0", "--field", "fp:4",
                         "--q", "1", "--k", "1"], capsys)

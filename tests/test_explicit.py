@@ -91,6 +91,14 @@ def test_omega_small():
         omega((4, 4))
 
 
+@pytest.mark.parametrize("floor", [0, 1, 4, 5])
+def test_omega_refuses_a_floor_other_than_2_or_3(floor):
+    with pytest.raises(InvalidIndices):
+        omega((5, 6), floor=floor)
+    with pytest.raises(InvalidIndices):
+        omega_map(mono((5, 6, 7)), floor=floor)
+
+
 def test_omega_5_6_golden():
     with open(os.path.join(GOLDEN, "omega_5_6.txt")) as fh:
         golden = fh.read().strip()
