@@ -55,7 +55,7 @@ def test_counters_against_itertools_enumeration(q):
         for b, counts in bounded.items():
             assert bounded_distinct_V(q, b, k) == counts[k], (q, b, k)
     # an m2 class for q >= 3 is 3 <= i_1 < ... < i_{q-2} of weight
-    # sum(i) + 2 i_{q-2} + 3; below that, the four sporadic classes
+    # sum(i) + 2 i_{q-2} + 3; below that, the classes at these weights
     if q >= 3:
         m2 = _sums(combinations(range(3, KMAX // 3 + 1), q - 2),
                    lambda s: sum(s) + 2 * s[-1] + 3)
