@@ -219,12 +219,13 @@ class ValidationReport:
 
 
 _PREDICATE_IDS = itertools.count()
+_CLOSURE_BOUND = 60
 
 
-def subalgebra(alg: GradedAlgebra, indices: Iterable[int] | Callable[[int], bool],
-               closure_bound: int = 60) -> GradedAlgebra:
+def subalgebra(alg: GradedAlgebra,
+               indices: Iterable[int] | Callable[[int], bool]) -> GradedAlgebra:
     """Restrict alg to an index subset, checking bracket closure up to
-    closure_bound (finitely, since the subset may be infinite)."""
+    _CLOSURE_BOUND (finitely, since the subset may be infinite)."""
     if callable(indices):
         # two predicates cannot be compared, so each gets its own key
         member = indices
@@ -237,7 +238,7 @@ def subalgebra(alg: GradedAlgebra, indices: Iterable[int] | Callable[[int], bool
     def contains(i):
         return alg.contains(i) and member(i)
 
-    top = closure_bound if alg.truncation is None else min(closure_bound, alg.truncation)
+    top = _CLOSURE_BOUND if alg.truncation is None else min(_CLOSURE_BOUND, alg.truncation)
     gens = [i for i in range(1, top + 1) if contains(i)]
     for ia, a in enumerate(gens):
         for b in gens[ia + 1:]:

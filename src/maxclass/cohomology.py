@@ -209,15 +209,12 @@ def class_rank(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
     return linalg.rank(_with_coboundaries(alg, cochains, q, k, field)) - coboundaries
 
 
-def euler_characteristic(alg: GradedAlgebra, k: int, qbound: int | None = None,
-                         field: Field = QQ) -> int:
-    """Alternating sums over degree of cochain dims and of Betti numbers;
-    both are computed, and RouteMismatch is raised if they disagree."""
-    if qbound is None:
-        qbound = k if k > 0 else 1
+def euler_characteristic(alg: GradedAlgebra, k: int, field: Field = QQ) -> int:
+    """Alternating sums over q <= max(k, 1) of cochain dims and of Betti
+    numbers; both are computed, and RouteMismatch is raised if they disagree."""
     chi_cochain = 0
     chi_betti = 0
-    for q in range(qbound + 1):
+    for q in range(max(k, 1) + 1):
         sign = -1 if q % 2 else 1
         chi_cochain += sign * len(basis(alg, q, k))
         chi_betti += sign * betti(alg, q, k, field)

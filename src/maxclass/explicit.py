@@ -8,14 +8,16 @@ exterior algebra on the abelian (or almost-abelian) ideal:
 
 plus partial right inverses and the ``omega`` expansion, which converts
 a strictly increasing index tuple into an explicitly closed cochain.
-The m2 variants carry 1/2^l coefficients and therefore refuse fields of
+The cup product of two omega classes is omega_map of their wedge, which
+keeps the summands whose two highest indices are adjacent.  The m2
+variants carry 1/2^l coefficients and therefore refuse fields of
 characteristic two.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import GradedAlgebra, preset
+from .algebra import preset
 from .cochain import Cochain, Monomial, derive, differential, wedge
 from .fields import QQ, Field
 
@@ -171,59 +173,17 @@ def shift_last_index(m: Monomial) -> Monomial:
 # cup products in the m0 cohomology
 
 def cup_formula(a, b, field: Field = QQ) -> Cochain:
-    """Product of the classes of omega(a) and omega(b) written again in
-    terms of omega cochains (a's last index must not exceed b's).  The
-    result is cohomologous to wedge(omega(a), omega(b))."""
+    """Product of the classes of omega(a) and omega(b) (a's last index
+    must not exceed b's) in omega cochains: omega_map of the wedge, to
+    which it is cohomologous.  The wedge's summands are, up to sign,
+    D1^l(e^a) ^ e^{i+1+l} ^ D1^k(e^b) ^ e^{j+1+k} with i = a[-1], j = b[-1].
+    D1 lowers indices, so the top two are adjacent exactly for k = 0 with
+    l <= j - i + 1, and for k >= 1 with i+1+l = j+k or j+k+2; omega_map
+    keeps these monomials of the product formula and drops the rest."""
     a, b = _check_indices(a, 2), _check_indices(b, 2)
-    i, j = a[-1], b[-1]
-    if i > j:
+    if a[-1] > b[-1]:
         raise InvalidIndices("first tuple must end no higher than the second")
-    f = field
-    acc = Cochain(f)
-
-    def monomial_cochain(indices, coeff=None):
-        return Cochain.monomial(f, indices, coeff)
-
-    xi_i = monomial_cochain(a)          # xi ^ e^i
-    eta_j = monomial_cochain(b)         # eta ^ e^j
-
-    def pow_d1(c, n):
-        for _ in range(n):
-            if c.is_zero():
-                break
-            c = d1_apply(c)
-        return c
-
-    # adjacent-last-pair summands of the literal double expansion:
-    # (1) the second factor untouched
-    for l in range(0, j - i + 2):
-        left = pow_d1(xi_i, l)
-        if left.is_zero():
-            continue
-        tail = wedge(monomial_cochain((i + 1 + l,)),
-                     wedge(eta_j, monomial_cochain((j + 1,))))
-        term = wedge(left, tail)
-        acc = acc + (term if l % 2 == 0 else -term)
-    # (2) and (3): both factors differentiated, pairing at j+k / j+k+1
-    sign2 = f.of(-1 if (j - i - 1) % 2 else 1)
-    for k in range(1, 2 * (sum(a) + sum(b))):
-        right = pow_d1(eta_j, k)
-        if right.is_zero():
-            break
-        left2 = pow_d1(xi_i, j - i - 1 + k)
-        left3 = pow_d1(xi_i, j - i + 1 + k)
-        if left2.is_zero() and left3.is_zero():
-            continue
-        if not left2.is_zero():
-            term = wedge(left2, wedge(monomial_cochain((j + k,)),
-                                      wedge(right, monomial_cochain((j + 1 + k,)))))
-            acc = acc + term.scaled(sign2)
-        if not left3.is_zero():
-            term = wedge(left3, wedge(monomial_cochain((j + 2 + k,)),
-                                      wedge(right, monomial_cochain((j + 1 + k,)))))
-            acc = acc + term.scaled(sign2)
-    out, _ = omega_map(acc)
-    return out
+    return omega_map(wedge(omega(a, field), omega(b, field)))[0]
 
 
 # ---------------------------------------------------------------------------

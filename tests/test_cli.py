@@ -136,6 +136,14 @@ def test_sl2_integral_lambda_rejected(capsys):
     assert json.loads(err.strip())["error"] == "InvalidLambda"
 
 
+@pytest.mark.parametrize("lam", ["--lambda=1/0", "--lambda=-1/0"])
+def test_sl2_zero_denominator_lambda_is_a_usage_error(lam, capsys):
+    code, out, err = run(["sl2", lam, "--q", "1", "--k", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "ZeroDivisionError"
+
+
 def test_gf_text(capsys):
     code, out, _ = run(["gf", "--algebra", "m0", "--t-terms", "10",
                         "--x-terms", "3"], capsys)

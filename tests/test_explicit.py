@@ -3,7 +3,9 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cup_oracle
 from maxclass.algebra import preset, subalgebra
 from maxclass.cochain import Cochain, basis, cochain_text, differential, wedge
 from maxclass.cohomology import betti, is_exact
@@ -214,6 +216,24 @@ def test_cup_formula_cohomologous_to_wedge():
         assert differential(m0, formula).is_zero()
         exact, _ = is_exact(m0, formula - literal)
         assert exact, (a, b)
+
+
+_cup_indices = st.lists(st.integers(2, 10), min_size=1, max_size=3,
+                        unique=True).map(lambda xs: tuple(sorted(xs)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cup_indices, _cup_indices,
+       st.sampled_from([QQ, PrimeField(3), PrimeField(5)]))
+def test_cup_formula_equals_the_literal_expansion(a, b, field):
+    """omega_map of the wedge equals the hand-expanded adjacent-top-pair
+    summands, value and coefficient type alike."""
+    if a[-1] > b[-1]:
+        a, b = b, a
+    got = cup_formula(a, b, field).terms
+    want = cup_oracle.cup_formula(a, b, field).terms
+    assert got == want
+    assert {m: type(v) for m, v in got.items()} == {m: type(v) for m, v in want.items()}
 
 
 def test_e1_wedge_omega_is_exact():
