@@ -1,10 +1,11 @@
 """N-graded Lie algebras with one-dimensional homogeneous components.
 
-An algebra is a bracket rule on basis indices: bracket(i, j) returns a
-list of (rational coefficient, index) pairs, always with index i + j.
-Presets cover the three maximal-class algebras (abelian-ideal "m0" type,
-its double-step variant "m2", the positive Witt part "l1") and their
-finite quotients; custom algebras load from a JSON document.
+Each homogeneous component g_i is spanned by one basis vector e_i and
+[g_i, g_j] lies in g_{i+j}, so a bracket is one scalar: bracket(i, j)
+is the rational c with [e_i, e_j] = c e_{i+j}.  Presets cover the
+three maximal-class algebras (abelian-ideal "m0" type, its double-step
+variant "m2", the positive Witt part "l1") and their finite quotients;
+custom algebras load from a JSON document.
 """
 from __future__ import annotations
 
@@ -32,18 +33,18 @@ class ValidationFailed(ValueError):
         self.violations = violations
 
 
-Term = tuple[Fraction, int]
-
-
 class GradedAlgebra:
     """Bracket rule on positive integer indices, weight(i) = i.
 
-    ``rule(i, j)`` is only consulted for i < j; antisymmetry and the
-    truncation/membership drop are applied here.  Instances are
-    immutable and hashable (used as cache keys downstream).
+    bracket(i, j) is the Fraction c with [e_i, e_j] = c e_{i+j}; it is 0
+    when i = j or when e_{i+j} is not a generator.  ``rule(i, j)`` gives
+    that scalar and is only consulted for i < j with e_{i+j} a
+    generator; antisymmetry and the truncation/membership drop are
+    applied here, so no rule can break either.  Instances are immutable
+    and hashable (used as cache keys downstream).
     """
 
-    def __init__(self, name: str, rule: Callable[[int, int], list[Term]],
+    def __init__(self, name: str, rule: Callable[[int, int], Fraction],
                  contains: Callable[[int], bool], truncation: int | None = None,
                  key: str | None = None):
         self.name = name
@@ -63,19 +64,12 @@ class GradedAlgebra:
         top = k if self.truncation is None else min(k, self.truncation)
         return [i for i in range(1, top + 1) if self.contains(i)]
 
-    def bracket(self, i: int, j: int) -> list[Term]:
+    def bracket(self, i: int, j: int) -> Fraction:
         if not (self.contains(i) and self.contains(j)):
             raise InvalidParameter(f"{i} or {j} not a generator of {self.name}")
-        if i == j:
-            return []
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        out = []
-        for coeff, k in self._rule(i, j):
-            if coeff and self.contains(k):
-                out.append((sign * coeff, k))
-        return out
+        if i == j or not self.contains(i + j):
+            return ZERO
+        return self._rule(i, j) if i < j else -self._rule(j, i)
 
     def dim(self) -> int | None:
         if self.truncation is None:
@@ -92,25 +86,19 @@ class GradedAlgebra:
         return isinstance(other, GradedAlgebra) and self.key == other.key
 
 
-ONE = Fraction(1)
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
-def _m0_rule(i: int, j: int) -> list[Term]:
-    if i == 1 and j >= 2:
-        return [(ONE, j + 1)]
-    return []
+def _m0_rule(i: int, j: int) -> Fraction:
+    return ONE if i == 1 and j >= 2 else ZERO
 
 
-def _m2_rule(i: int, j: int) -> list[Term]:
-    if i == 1 and j >= 2:
-        return [(ONE, j + 1)]
-    if i == 2 and j >= 3:
-        return [(ONE, j + 2)]
-    return []
+def _m2_rule(i: int, j: int) -> Fraction:
+    return ONE if (i == 1 and j >= 2) or (i == 2 and j >= 3) else ZERO
 
 
-def _lk_rule(i: int, j: int) -> list[Term]:
-    return [(Fraction(j - i), i + j)]
+def _lk_rule(i: int, j: int) -> Fraction:
+    return Fraction(j - i)
 
 
 def m0() -> GradedAlgebra:
@@ -167,42 +155,19 @@ def preset(name: str, param: int | None = None) -> GradedAlgebra:
     raise InvalidParameter(f"unknown preset {name!r}")
 
 
-def _bracket_map(alg: GradedAlgebra, i: int, j: int) -> dict[int, Fraction]:
-    return {k: c for c, k in alg.bracket(i, j)}
-
-
 def validate(alg: GradedAlgebra, bound: int):
-    """Check antisymmetry, grading and the Jacobi identity for all index
-    triples with sum <= bound.  Violations are returned, not raised."""
+    """Check the Jacobi identity for all index triples with sum <= bound.
+    The monomials e^a ^ e^b ^ e^c of d d e^i (cochain.jacobi_defect) are
+    exactly the triples with a + b + c = i where it fails; each is
+    reported as ("jacobi", (a, b, c), (i,)), in lexicographic order.
+    Violations are returned, not raised."""
     if bound < 3:
         raise InvalidParameter("bound must be >= 3")
-    violations = []
-    gens = alg.generators_up_to(bound)
-    for a in gens:
-        for b in gens:
-            if a + b > bound or a >= b:
-                continue
-            fwd = _bracket_map(alg, a, b)
-            bwd = _bracket_map(alg, b, a)
-            for k, c in fwd.items():
-                if k != a + b:
-                    violations.append(("grading", (a, b), k))
-                if bwd.get(k, Fraction(0)) != -c:
-                    violations.append(("antisymmetry", (a, b), k))
-    for ia, a in enumerate(gens):
-        for b in gens[ia + 1:]:
-            for c in gens:
-                if c <= b or a + b + c > bound:
-                    continue
-                acc: dict[int, Fraction] = {}
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for coeff, m in alg.bracket(x, y):
-                        if alg.contains(m):
-                            for coeff2, k in alg.bracket(m, z):
-                                acc[k] = acc.get(k, Fraction(0)) + coeff * coeff2
-                bad = {k: v for k, v in acc.items() if v}
-                if bad:
-                    violations.append(("jacobi", (a, b, c), tuple(sorted(bad))))
+    # cochain imports this module
+    from .cochain import jacobi_defect
+
+    violations = sorted(("jacobi", m, (i,)) for i in alg.generators_up_to(bound)
+                        for m in jacobi_defect(alg, i).terms)
     return ValidationReport(alg.name, bound, violations)
 
 
@@ -242,9 +207,8 @@ def subalgebra(alg: GradedAlgebra,
     gens = [i for i in range(1, top + 1) if contains(i)]
     for ia, a in enumerate(gens):
         for b in gens[ia + 1:]:
-            for coeff, k in alg.bracket(a, b):
-                if coeff and alg.contains(k) and not member(k):
-                    raise NotClosed(f"[e{a}, e{b}] hits e{k} outside the subset")
+            if alg.bracket(a, b) and not member(a + b):
+                raise NotClosed(f"[e{a}, e{b}] hits e{a + b} outside the subset")
 
     return GradedAlgebra(f"{alg.name}|sub", alg._rule, contains,
                          truncation=alg.truncation, key=f"{alg.key}|sub[{tag}]")
@@ -256,7 +220,9 @@ def load_custom(document) -> GradedAlgebra:
     Schema: {"name": str, "truncation": int,
              "brackets": [{"i": int, "j": int,
                            "terms": [{"num": int, "den": int, "k": int}]}]}
-    Antisymmetric partners are implied; grading k = i + j is enforced.
+    with 1 <= i < j <= truncation, each (i, j) at most once, and every k
+    equal to i + j; the terms of one entry are summed into the scalar
+    of [e_i, e_j].  Antisymmetric partners are implied.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -272,29 +238,33 @@ def load_custom(document) -> GradedAlgebra:
     if n < 2:
         raise InvalidParameter("truncation must be >= 2")
 
-    table: dict[tuple[int, int], list[Term]] = {}
+    table: dict[tuple[int, int], Fraction] = {}
     for entry in entries:
         try:
             i, j = int(entry["i"]), int(entry["j"])
             terms = [(Fraction(int(t["num"]), int(t.get("den", 1))), int(t["k"]))
                      for t in entry["terms"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad bracket entry {entry!r}: {exc}") from exc
         if i >= j:
             raise ParseError(f"bracket entries must have i < j, got ({i}, {j})")
+        if i < 1 or j > n or any(not 1 <= k <= n for _, k in terms):
+            raise ParseError(f"bracket entry {entry!r} names an index outside 1..{n}")
+        if (i, j) in table:
+            raise ParseError(f"bracket ({i}, {j}) is given twice")
         for _, k in terms:
             if k != i + j:
                 raise ValidationFailed(
                     f"grading violated: [e{i}, e{j}] produces e{k}",
                     [("grading", (i, j), k)])
-        table[(i, j)] = terms
+        table[(i, j)] = sum((c for c, _ in terms), ZERO)
 
     # hashlib loads OpenSSL, some MB of resident memory that only custom
     # algebras need
     from hashlib import sha256
 
     canonical = json.dumps(document, sort_keys=True)
-    alg = GradedAlgebra(name, lambda i, j: table.get((i, j), []),
+    alg = GradedAlgebra(name, lambda i, j: table.get((i, j), ZERO),
                         lambda i: True, truncation=n,
                         key=f"custom:{name}:{n}:{sha256(canonical.encode()).hexdigest()}")
     report = validate(alg, max(3, 2 * n + n))

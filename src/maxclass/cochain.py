@@ -277,10 +277,9 @@ def _generator_images(alg: GradedAlgebra, field: Field):
         out = []
         for a in alg.generators_up_to((i - 1) // 2):
             if alg.contains(i - a):
-                for coeff, k in alg.bracket(a, i - a):
-                    v = field.from_rational(coeff)
-                    if k == i and not field.is_zero(v):
-                        out.append((v, (a, i - a)))
+                v = field.from_rational(alg.bracket(a, i - a))
+                if not field.is_zero(v):
+                    out.append((v, (a, i - a)))
         return out
     return images
 
@@ -288,6 +287,14 @@ def _generator_images(alg: GradedAlgebra, field: Field):
 def differential(alg: GradedAlgebra, c: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential, extended by the Leibniz rule."""
     return derive(c, _generator_images(alg, c.field))
+
+
+def jacobi_defect(alg: GradedAlgebra, i: int) -> Cochain:
+    """d d e^i over Q.  Its coefficient on e^a ^ e^b ^ e^c, a < b < c,
+    is the coefficient on e_i of the Jacobiator [[e_a, e_b], e_c] +
+    [[e_b, e_c], e_a] + [[e_c, e_a], e_b], up to sign; so its monomials
+    are exactly the triples with a + b + c = i where Jacobi fails."""
+    return differential(alg, differential(alg, Cochain.monomial(QQ, (i,))))
 
 
 def differential_matrix(alg: GradedAlgebra, q: int, k: int,

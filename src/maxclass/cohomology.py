@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import linalg
 from .algebra import GradedAlgebra
-from .cochain import Cochain, basis, differential, differential_matrix
+from .cochain import Cochain, basis, differential, differential_matrix, jacobi_defect
 from .fields import QQ, Field
 
 
@@ -52,8 +52,7 @@ def _d_squared_vanishes(alg: GradedAlgebra, k: int) -> bool:
     if k <= done:
         return True
     for i in alg.generators_up_to(k):
-        if i > done and not differential(alg, differential(
-                alg, Cochain.monomial(QQ, (i,)))).is_zero():
+        if i > done and not jacobi_defect(alg, i).is_zero():
             _D_SQUARED_ZERO[alg] = i - 1
             return False
     _D_SQUARED_ZERO[alg] = k

@@ -35,10 +35,13 @@ class IdealSplit:
         return f"IdealSplit({self.parent.name}, x=e{self.x_index})"
 
 
+# one split per preset, so its ideal keeps one key and one set of cached cells
+@cache
 def m0_split() -> IdealSplit:
     return IdealSplit(preset("m0"), 1)
 
 
+@cache
 def m2_split() -> IdealSplit:
     return IdealSplit(preset("m2"), 2)
 
@@ -74,10 +77,8 @@ def adx_star(split: IdealSplit, c: Cochain) -> Cochain:
     @cache
     def images(k):
         j = k - x
-        if j < 1 or not split.ideal.contains(j):
-            return []
-        return [(f.from_rational(coeff), (j,))
-                for coeff, target in split.parent.bracket(x, j) if target == k]
+        coeff = split.parent.bracket(x, j) if j >= 1 and split.ideal.contains(j) else 0
+        return [(f.from_rational(coeff), (j,))] if coeff else []
     return derive(c, images)
 
 

@@ -8,10 +8,9 @@ exterior algebra on the abelian (or almost-abelian) ideal:
 
 plus partial right inverses and the ``omega`` expansion, which converts
 a strictly increasing index tuple into an explicitly closed cochain.
-The cup product of two omega classes is omega_map of their wedge, which
-keeps the summands whose two highest indices are adjacent.  The m2
-variants carry 1/2^l coefficients and therefore refuse fields of
-characteristic two.
+The cup product of two omega classes is their wedge, which already
+lies in the span of the omega cochains.  The m2 variants carry 1/2^l
+coefficients and therefore refuse fields of characteristic two.
 """
 from __future__ import annotations
 
@@ -174,16 +173,14 @@ def shift_last_index(m: Monomial) -> Monomial:
 
 def cup_formula(a, b, field: Field = QQ) -> Cochain:
     """Product of the classes of omega(a) and omega(b) (a's last index
-    must not exceed b's) in omega cochains: omega_map of the wedge, to
-    which it is cohomologous.  The wedge's summands are, up to sign,
-    D1^l(e^a) ^ e^{i+1+l} ^ D1^k(e^b) ^ e^{j+1+k} with i = a[-1], j = b[-1].
-    D1 lowers indices, so the top two are adjacent exactly for k = 0 with
-    l <= j - i + 1, and for k >= 1 with i+1+l = j+k or j+k+2; omega_map
-    keeps these monomials of the product formula and drops the rest."""
+    must not exceed b's) in omega cochains: the wedge itself.  The wedge
+    lies in the span of the omega cochains, and each omega(s) has exactly
+    one monomial whose two highest indices are adjacent, with
+    coefficient 1, so omega_map of the wedge is the wedge term for term."""
     a, b = _check_indices(a, 2), _check_indices(b, 2)
     if a[-1] > b[-1]:
         raise InvalidIndices("first tuple must end no higher than the second")
-    return omega_map(wedge(omega(a, field), omega(b, field)))[0]
+    return wedge(omega(a, field), omega(b, field))
 
 
 # ---------------------------------------------------------------------------

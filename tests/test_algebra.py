@@ -2,48 +2,51 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import jacobi_oracle
 import maxclass
-from maxclass.algebra import (InvalidParameter, NotClosed, ParseError,
-                              ValidationFailed, load_custom, preset,
+from maxclass.algebra import (GradedAlgebra, InvalidParameter, NotClosed,
+                              ParseError, ValidationFailed, load_custom, preset,
                               subalgebra, validate)
 
 
 def test_m0_brackets():
     m0 = preset("m0")
-    assert m0.bracket(1, 5) == [(1, 6)]
-    assert m0.bracket(5, 1) == [(-1, 6)]
-    assert m0.bracket(2, 3) == []
-    assert m0.bracket(3, 3) == []
+    assert m0.bracket(1, 5) == 1
+    assert m0.bracket(5, 1) == -1
+    assert m0.bracket(2, 3) == 0
+    assert m0.bracket(3, 3) == 0
 
 
 def test_m2_brackets():
     m2 = preset("m2")
-    assert m2.bracket(1, 2) == [(1, 3)]
-    assert m2.bracket(2, 3) == [(1, 5)]
-    assert m2.bracket(3, 2) == [(-1, 5)]
-    assert m2.bracket(3, 4) == []
+    assert m2.bracket(1, 2) == 1
+    assert m2.bracket(2, 3) == 1
+    assert m2.bracket(3, 2) == -1
+    assert m2.bracket(3, 4) == 0
 
 
 def test_l1_brackets():
     l1 = preset("l1")
-    assert l1.bracket(2, 5) == [(3, 7)]
-    assert l1.bracket(5, 2) == [(-3, 7)]
-    assert l1.bracket(3, 3) == []
+    assert l1.bracket(2, 5) == 3
+    assert l1.bracket(5, 2) == -3
+    assert l1.bracket(3, 3) == 0
 
 
 def test_truncations():
     alg = preset("m0n", 6)
-    assert alg.bracket(1, 5) == [(1, 6)]
-    assert alg.bracket(1, 6) == []
+    assert alg.bracket(1, 5) == 1
+    assert alg.bracket(1, 6) == 0
     assert not alg.contains(7)
     assert alg.dim() == 6
     quo = preset("l1quot", 5)
-    assert quo.bracket(2, 3) == [(1, 5)]
-    assert quo.bracket(2, 4) == []
+    assert quo.bracket(2, 3) == 1
+    assert quo.bracket(2, 4) == 0
 
 
 def test_preset_parameter_validation():
@@ -72,11 +75,11 @@ def test_presets_are_lie_algebras(name, param):
 def test_subalgebra_closure():
     m0 = preset("m0")
     b = subalgebra(m0, lambda i: i >= 2)
-    assert b.bracket(2, 3) == []
+    assert b.bracket(2, 3) == 0
     assert not b.contains(1)
     m2 = preset("m2")
     b2 = subalgebra(m2, lambda i: i != 2)
-    assert b2.bracket(1, 3) == [(1, 4)]
+    assert b2.bracket(1, 3) == 1
     with pytest.raises(NotClosed):
         # e_1 and e_2 generate everything, but e_3 is missing
         subalgebra(m2, lambda i: i in (1, 2))
@@ -104,14 +107,14 @@ CUSTOM = {
 
 def test_load_custom_roundtrip(tmp_path):
     alg = load_custom(CUSTOM)
-    assert alg.bracket(1, 2) == [(1, 3)]
-    assert alg.bracket(2, 1) == [(-1, 3)]
+    assert alg.bracket(1, 2) == 1
+    assert alg.bracket(2, 1) == -1
     assert validate(alg, 10).violations == []
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(CUSTOM))
     from maxclass.algebra import load_custom_file
     alg2 = load_custom_file(str(path))
-    assert alg2.bracket(2, 3) == [(1, 5)]
+    assert alg2.bracket(2, 3) == 1
 
 
 def test_custom_key_is_the_same_in_every_process():
@@ -150,6 +153,64 @@ def test_load_custom_rejects_jacobi_violation():
         load_custom(bad)
 
 
+def _with_entry(entry):
+    return dict(CUSTOM, brackets=CUSTOM["brackets"] + [entry])
+
+
+@pytest.mark.parametrize("entry", [
+    {"i": 0, "j": 3, "terms": [{"num": 1, "den": 1, "k": 3}]},
+    {"i": 1, "j": 9, "terms": [{"num": 1, "den": 1, "k": 10}]},
+    {"i": 2, "j": 4, "terms": [{"num": 1, "den": 1, "k": 6}]},
+], ids=["i=0", "j>n", "k>n"])
+def test_load_custom_rejects_an_index_outside_the_truncation(entry):
+    with pytest.raises(ParseError):
+        load_custom(_with_entry(entry))
+
+
+def test_load_custom_rejects_a_zero_denominator():
+    with pytest.raises(ParseError):
+        load_custom(_with_entry({"i": 2, "j": 3, "terms": [{"num": 1, "den": 0, "k": 5}]}))
+
+
+def test_load_custom_rejects_a_repeated_entry():
+    with pytest.raises(ParseError):
+        load_custom(_with_entry({"i": 1, "j": 2, "terms": [{"num": 2, "den": 1, "k": 3}]}))
+
+
+def test_load_custom_sums_the_terms_of_one_entry():
+    doc = dict(CUSTOM, brackets=[
+        {"i": 1, "j": 2, "terms": [{"num": 1, "den": 2, "k": 3}, {"num": 1, "den": 3, "k": 3}]}])
+    assert load_custom(doc).bracket(1, 2) == Fraction(5, 6)
+
+
 def test_missing_truncation_rejected():
     with pytest.raises((ParseError, ValidationFailed)):
         load_custom({"name": "x", "brackets": []})
+
+
+# --- the one Jacobi check, against the triple loop ---------------------------
+
+@st.composite
+def _truncated_tables(draw):
+    n = draw(st.integers(4, 12))
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1 - i)]
+    values = draw(st.lists(st.integers(-2, 2), min_size=len(pairs), max_size=len(pairs)))
+    table = {p: Fraction(v) for p, v in zip(pairs, values)}
+    key = f"test:table:{n}:{sorted(table.items())}"
+    alg = GradedAlgebra("table", lambda i, j: table.get((i, j), Fraction(0)),
+                        lambda i: True, truncation=n, key=key)
+    return alg, draw(st.integers(3, 3 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_truncated_tables())
+def test_validate_equals_the_triple_loop_on_random_tables(case):
+    alg, bound = case
+    assert validate(alg, bound).violations == jacobi_oracle.violations(alg, bound)
+
+
+@pytest.mark.parametrize("name,param", [("m0", None), ("m2", None), ("l1", None),
+                                        ("lk", 3), ("m0n", 9), ("m2n", 9), ("l1quot", 11)])
+def test_validate_equals_the_triple_loop_on_the_presets(name, param):
+    alg = preset(name, param)
+    assert validate(alg, 40).violations == jacobi_oracle.violations(alg, 40) == []

@@ -227,7 +227,7 @@ def _no_jacobi():
     rnd = random.Random(0)
     table = {(i, j): Fraction(rnd.randint(-2, 2))
              for i in range(1, 9) for j in range(i + 1, 10 - i)}
-    return GradedAlgebra("no-jacobi", lambda i, j: [(table.get((i, j), 0), i + j)],
+    return GradedAlgebra("no-jacobi", lambda i, j: table.get((i, j), 0),
                          lambda i: True, truncation=9, key="test:no-jacobi")
 
 
@@ -289,7 +289,7 @@ def _m0_with_e2_e3():
     first fails on e1, e2, e3 ([e1, [e2, e3]] = e6, the other two terms
     are 0), so d d e^i != 0 first at i = 6."""
     def rule(i, j):
-        return [(Fraction(1), 5)] if (i, j) == (2, 3) else _m0_rule(i, j)
+        return Fraction(1) if (i, j) == (2, 3) else _m0_rule(i, j)
     return GradedAlgebra("m0+[e2,e3]", rule, lambda i: True, key="test:m0+[e2,e3]")
 
 
@@ -299,6 +299,15 @@ def test_d_squared_check_fails_from_the_first_failing_generator():
         assert [k for k in weights if not cohomology._d_squared_vanishes(alg, k)] \
             == [k for k in weights if k >= 6]
     assert all(cohomology._d_squared_vanishes(preset(name), 40) for name in ("m0", "m2", "l1"))
+
+
+@pytest.mark.parametrize("make", [_m0_with_e2_e3, _no_jacobi])
+def test_d_squared_check_and_validate_see_the_same_first_failure(make):
+    """The d∘d guard first fails at the weight of the lowest Jacobi
+    violation that validate reports: both read cochain.jacobi_defect."""
+    alg = make()
+    first = min(i for _, _, (i,) in validate(alg, 16).violations)
+    assert [k for k in range(17) if not cohomology._d_squared_vanishes(alg, k)][0] == first
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)

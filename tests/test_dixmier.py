@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from maxclass import dixmier
+from maxclass import cohomology, dixmier
 from maxclass.algebra import preset
 from maxclass.cochain import Cochain, basis, differential, wedge
 from maxclass.dixmier import (
@@ -131,6 +131,20 @@ def test_exactness_mod_p():
     f3 = PrimeField(3)
     rep = verify_exactness(m0_split(), qmax=2, kmax=10, field=f3)
     assert rep.passed
+
+
+@pytest.mark.parametrize("split", [m0_split, m2_split])
+def test_a_second_split_reuses_the_cached_cells(split, monkeypatch):
+    """Each preset split is built once, so its ideal keeps one key and a
+    second check of the same window assembles no differential matrix."""
+    assert split() is split()
+    verify_exactness(split(), 2, 10)
+    assembled = []
+    matrix = cohomology.differential_matrix
+    monkeypatch.setattr(cohomology, "differential_matrix",
+                        lambda *args: assembled.append(args) or matrix(*args))
+    assert verify_exactness(split(), 2, 10).passed
+    assert assembled == []
 
 
 @pytest.mark.parametrize("split", [m0_split, m2_split])
