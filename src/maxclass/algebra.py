@@ -71,11 +71,6 @@ class GradedAlgebra:
             return ZERO
         return self._rule(i, j) if i < j else -self._rule(j, i)
 
-    def dim(self) -> int | None:
-        if self.truncation is None:
-            return None
-        return len(self.generators_up_to(self.truncation))
-
     def __repr__(self):
         return f"GradedAlgebra({self.key})"
 

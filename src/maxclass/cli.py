@@ -53,10 +53,22 @@ def _emit(text: str, out_path):
             sys.stdout.write("\n")
 
 
+def nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def cmd_betti(args) -> int:
+    pairs = [p for p in ((args.q, args.k), (args.qmax, args.kmax)) if p != (None, None)]
+    if len(pairs) != 1 or None in pairs[0]:
+        raise UsageError("need exactly one of --q/--k or --qmax/--kmax")
     alg = parse_algebra(args.algebra)
     field = parse_field(args.field)
-    if args.q is not None and args.k is not None:
+    if args.q is not None:
+        if args.format == "csv":
+            raise UsageError("a single value has no csv form")
         value = betti(alg, args.q, args.k, field)
         if args.format == "json":
             _emit(json.dumps({"algebra": alg.name, "q": args.q, "k": args.k,
@@ -64,8 +76,6 @@ def cmd_betti(args) -> int:
         else:
             _emit(str(value), args.out)
         return 0
-    if args.qmax is None or args.kmax is None:
-        raise UsageError("need --q/--k or --qmax/--kmax")
     table = betti_table(alg, args.qmax, args.kmax, field)
     if args.format == "json":
         _emit(table.to_json(), args.out)
@@ -82,12 +92,8 @@ def cmd_cocycle(args) -> int:
     field = parse_field(args.field)
     if (args.omega is None) == (args.w is None):
         raise UsageError("exactly one of --omega or --w is required")
-    if args.omega is not None:
-        indices = tuple(int(s) for s in args.omega.split(","))
-        c = omega(indices, field)
-    else:
-        indices = tuple(int(s) for s in args.w.split(","))
-        c = w_cocycle(indices, field)
+    build, spec = (omega, args.omega) if args.omega is not None else (w_cocycle, args.w)
+    c = build(tuple(int(s) for s in spec.split(",")), field)
     if args.format == "json":
         _emit(json.dumps(cochain_to_json(c), indent=2), args.out)
     else:
@@ -148,32 +154,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact cohomology of N-graded Lie algebras of maximal class")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=True):
+    def common(p, algebra=True, formats=("json", "csv", "text")):
         if algebra:
             p.add_argument("--algebra", default="m0",
                            help="m0|m2|l1|lk:<k>|m0n:<n>|m2n:<n>|l1quot:<n>|file:<path>")
         p.add_argument("--field", default="q", help="q or fp:<prime>")
-        p.add_argument("--format", default="text", choices=["json", "csv", "text"])
+        p.add_argument("--format", default="text", choices=formats)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("betti", help="dimension table or single value")
     common(p)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--qmax", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--qmax", type=nonnegative, default=None)
+    p.add_argument("--kmax", type=nonnegative, default=None)
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("cocycle", help="explicit closed cochains")
-    common(p, algebra=False)
+    common(p, algebra=False, formats=("json", "text"))
     p.add_argument("--omega", default=None, help="comma-separated indices")
     p.add_argument("--w", default=None, help="comma-separated indices (m2)")
     p.set_defaults(func=cmd_cocycle)
 
     p = sub.add_parser("gf", help="two-variable Betti generating function")
     p.add_argument("--algebra", default="m0", choices=["m0", "m2"])
-    p.add_argument("--t-terms", type=int, default=20, dest="t_terms")
-    p.add_argument("--x-terms", type=int, default=6, dest="x_terms")
+    p.add_argument("--t-terms", type=nonnegative, default=20, dest="t_terms")
+    p.add_argument("--x-terms", type=nonnegative, default=6, dest="x_terms")
     p.add_argument("--format", default="text", choices=["json", "text"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gf)
@@ -188,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a cross-check suite")
     p.add_argument("suite", help="|".join(sorted(SUITES)))
-    p.add_argument("--qmax", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--qmax", type=nonnegative, default=None)
+    p.add_argument("--kmax", type=nonnegative, default=None)
     p.add_argument("--format", default="text", choices=["json", "text"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -8,7 +8,6 @@ the graded Leibniz rule, so it preserves weight and raises degree by 1.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import cache, lru_cache
 from math import inf
 
@@ -62,10 +61,6 @@ class Cochain:
             c = field.neg(c)
         return cls(field, {mono: c})
 
-    @classmethod
-    def zero(cls, field: Field):
-        return cls(field)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -101,18 +96,12 @@ class Cochain:
         return isinstance(other, Cochain) and self.field == other.field \
             and self.terms == other.terms
 
-    def degrees(self) -> set[int]:
-        return {len(m) for m in self.terms}
-
-    def weights(self) -> set[int]:
-        return {sum(m) for m in self.terms}
-
     def bidegree(self) -> tuple[int, int]:
         """(q, k) of a homogeneous cochain."""
-        qs, ks = self.degrees(), self.weights()
-        if len(qs) != 1 or len(ks) != 1:
+        qks = {(len(m), sum(m)) for m in self.terms}
+        if len(qks) != 1:
             raise ValueError("cochain is not homogeneous")
-        return qs.pop(), ks.pop()
+        return qks.pop()
 
     def __repr__(self):
         return f"Cochain({cochain_text(self)})"
@@ -336,11 +325,3 @@ def cochain_to_json(c: Cochain) -> list[dict]:
     return [{"coeff": c.field.format(c.terms[m]), "monomial": list(m)}
             for m in sorted(c.terms, key=_term_order)]
 
-
-def cochain_from_json(field: Field, data) -> Cochain:
-    out = Cochain(field)
-    for entry in data:
-        raw = str(entry["coeff"]).split(" mod ")[0]
-        fr = Fraction(raw)
-        out.add_term(tuple(entry["monomial"]), field.from_rational(fr))
-    return out

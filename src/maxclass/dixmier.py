@@ -28,7 +28,6 @@ class IdealSplit:
     def __init__(self, parent: GradedAlgebra, x_index: int):
         self.parent = parent
         self.x_index = x_index
-        self.weight = x_index
         self.ideal = subalgebra(parent, lambda i: i != x_index)
 
     def __repr__(self):
@@ -50,11 +49,6 @@ def contract(split: IdealSplit, f: Cochain) -> Cochain:
     """Interior product of f with the distinguished generator e_x."""
     x = split.x_index
     return derive(f, lambda i: [(1, ())] if i == x else [])
-
-
-def split_form(split: IdealSplit, f: Cochain):
-    """f = e^x ^ f' + f'' with f'' free of the e^x factor."""
-    return contract(split, f), restrict(split, f)
 
 
 def x_wedge(split: IdealSplit, c: Cochain) -> Cochain:
@@ -133,7 +127,7 @@ def verify_exactness(split: IdealSplit, qmax: int, kmax: int,
     (class_rank).  Node n checks that map n kills the images of map
     n - 1 and that the two ranks add up to its dimension; images that
     are not closed give ranks of -1."""
-    parent, ideal, w = split.parent, split.ideal, split.weight
+    parent, ideal, w = split.parent, split.ideal, split.x_index
     maps = [partial(f, split) for f in (restrict, adx_star, x_wedge)]
 
     def position(n, k):

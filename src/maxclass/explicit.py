@@ -40,18 +40,11 @@ class NoLeadingTerm(ValueError):
 # ---------------------------------------------------------------------------
 # derivations
 
-def d1_apply(c: Cochain, mode: str = "m0") -> Cochain:
-    """ad e1^* as a derivation.  mode "m0": kills e^2; mode "m2": acts
-    on the ideal spanned by e^1, e^3, e^4, ... and kills e^1 and e^3."""
-    if mode == "m0":
-        def rule(i):
-            return [] if i <= 2 else [(1, (i - 1,))]
-    elif mode == "m2":
-        def rule(i):
-            return [] if i in (1, 3) else [(1, (i - 1,))]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return derive(c, rule)
+def d1_apply(c: Cochain, floor: int = 2) -> Cochain:
+    """ad e1^* as a derivation: e^i -> e^{i-1}, killing e^1 and the
+    bottom generator e^floor of the ideal (2 for m0; 3 for the ideal
+    spanned by e^1, e^3, e^4, ... inside m2)."""
+    return derive(c, lambda i: [] if i in (1, floor) else [(1, (i - 1,))])
 
 
 def d2_apply(c: Cochain) -> Cochain:
@@ -66,7 +59,7 @@ def d2_apply(c: Cochain) -> Cochain:
 
 
 def d2_plus_d1sq(c: Cochain) -> Cochain:
-    return d2_apply(c) + d1_apply(d1_apply(c, "m2"), "m2")
+    return d2_apply(c) + d1_apply(d1_apply(c, 3), 3)
 
 
 def _check_indices(indices, floor: int) -> tuple:
@@ -90,13 +83,13 @@ def _expand(xi: Cochain, step, stage) -> Cochain:
     return out
 
 
-def _omega_sum(xi: Cochain, top: int, mode: str = "m0") -> Cochain:
+def _omega_sum(xi: Cochain, top: int, floor: int = 2) -> Cochain:
     """sum_l (-1)^l D1^l(xi) ^ e^{top+1+l}."""
     f = xi.field
 
     def stage(l, x):
         return wedge(x, Cochain.monomial(f, (top + 1 + l,), f.of(-1 if l % 2 else 1)))
-    return _expand(xi, lambda x: d1_apply(x, mode), stage)
+    return _expand(xi, lambda x: d1_apply(x, floor), stage)
 
 
 def d_minus1(c: Cochain) -> Cochain:
@@ -113,42 +106,36 @@ def d_minus1(c: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 # the omega expansion
 
-_FLOOR_MODES = {2: "m0", 3: "m2"}
-
-
-def _floor_mode(floor: int) -> str:
-    """The D1 rule of the ideal whose bottom generator is e^floor."""
-    if floor not in _FLOOR_MODES:
+def _check_floor(floor: int) -> None:
+    """The ideal's bottom generator e^floor must be e^2 or e^3."""
+    if floor not in (2, 3):
         raise InvalidIndices(f"generator floor {floor} is neither 2 (m0) nor 3 (m2)")
-    return _FLOOR_MODES[floor]
 
 
 def omega(indices, field: Field = QQ, floor: int = 2) -> Cochain:
     """omega(i_1, ..., i_q) = sum_l (-1)^l D1^l(e^{i_1}^...^e^{i_q}) ^
     e^{i_q+1+l}: an explicitly closed (q+1)-cochain.  floor selects the
-    bottom generator (2 for the m0 ideal, 3 for the shifted copy inside
-    m2, where D1 additionally kills e^3)."""
-    mode = _floor_mode(floor)
+    bottom generator e^floor, which D1 kills (2 for the m0 ideal, 3 for
+    the shifted copy inside m2)."""
+    _check_floor(floor)
     indices = _check_indices(indices, floor)
-    return _omega_sum(Cochain.monomial(field, indices), indices[-1], mode)
+    return _omega_sum(Cochain.monomial(field, indices), indices[-1], floor)
 
 
-def omega_map(c: Cochain, floor: int = 2):
+def omega_map(c: Cochain, floor: int = 2) -> Cochain:
     """Linear extension of omega to cochains: each monomial must end in
     an adjacent pair (r, r+1); it is replaced by omega of the monomial
-    with the final index removed.  Monomials reaching below the
-    generator floor are dropped (the count is reported)."""
-    _floor_mode(floor)
+    with the final index removed.  Monomials that do not, or that reach
+    below the generator floor, are dropped."""
+    _check_floor(floor)
     f = c.field
     out = Cochain(f)
-    dropped = 0
     for mono, coeff in c.terms.items():
         if len(mono) < 2 or mono[0] < floor or mono[-1] != mono[-2] + 1:
-            dropped += 1
             continue
         for m2, v in omega(mono[:-1], f, floor).terms.items():
             out.add_term(m2, f.mul(coeff, v))
-    return out, dropped
+    return out
 
 
 def leading_term(c: Cochain) -> Monomial:
@@ -162,10 +149,6 @@ def leading_term(c: Cochain) -> Monomial:
     if found is None:
         raise NoLeadingTerm("no adjacent-last-pair monomial")
     return found
-
-
-def shift_last_index(m: Monomial) -> Monomial:
-    return m[:-1] + (m[-1] + 1,)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +185,7 @@ def _w_sum(indices, field: Field, floor: int, halves: int) -> Cochain:
     def stage(l, x):
         pair = Cochain.monomial(f, (top + 1 + l, top + 2 + l),
                                 f.from_rational(Fraction(1, 2 ** (l + halves))))
-        return omega_map(wedge(x, pair), floor)[0]
+        return omega_map(wedge(x, pair), floor)
     return _expand(Cochain.monomial(f, indices), d2_plus_d1sq, stage)
 
 

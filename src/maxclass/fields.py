@@ -2,11 +2,11 @@
 
 Scalars are plain Python values.  Over Q a scalar is an ``int`` when it
 is integral and a ``fractions.Fraction`` otherwise: ``of`` and
-``from_rational`` return an ``int`` for an integral value, +, - and *
-keep two ints an int, and ``inv`` always returns a ``Fraction``, so no
-``/`` between two ints ever makes a float.  Over F_p a scalar is an
-integer residue in [0, p).  A ``Field`` object carries the operations,
-so all other modules stay field-agnostic.
+``from_rational`` return an ``int`` for an integral value, add, neg and
+mul keep two ints an int, and the one division ``of(n, d)`` goes
+through ``Fraction``, so no ``/`` between two ints ever makes a float.
+Over F_p a scalar is an integer residue in [0, p).  A ``Field`` object
+carries the operations, so all other modules stay field-agnostic.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 
 class DivisionByZero(ZeroDivisionError):
-    """Inversion of zero (or of a residue that is zero mod p)."""
+    """Division by zero (or by a residue that is zero mod p)."""
 
 
 class PrimalityUndecided(ValueError):
@@ -84,19 +84,11 @@ class Rationals(Field):
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        return 1 / Fraction(a)
 
     def is_zero(self, a):
         return a == 0
@@ -137,19 +129,11 @@ class PrimeField(Field):
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
     def neg(self, a):
         return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise DivisionByZero("inverse of zero")
-        return pow(a, -1, self.p)
 
     def is_zero(self, a):
         return a % self.p == 0

@@ -107,10 +107,6 @@ def primitive_basis(mod: Sl2Module, q: int, k: int) -> list[dict]:
     return linalg.kernel_basis(M)
 
 
-def primitive_dimension(mod: Sl2Module, q: int, k: int) -> int:
-    return len(primitive_basis(mod, q, k))
-
-
 def finite_kernel_count(n: int, q: int) -> int:
     """Total dimension of ker X on Lambda^q V(n-2): the number of
     irreducible summands of the exterior power."""

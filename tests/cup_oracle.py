@@ -68,5 +68,5 @@ def cup_formula(a, b, field: Field = QQ) -> Cochain:
             term = wedge(left3, wedge(monomial_cochain((j + 2 + k,)),
                                       wedge(right, monomial_cochain((j + 1 + k,)))))
             acc = acc + term.scaled(sign2)
-    out, _ = omega_map(acc)
+    out = omega_map(acc)
     return out

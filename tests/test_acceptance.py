@@ -18,7 +18,7 @@ from maxclass.combinatorics import (
 from maxclass.explicit import CharacteristicTwo, cup_formula, omega, w_cocycle
 from maxclass.fields import QQ, PrimeField
 from maxclass.linalg import SparseMatrix, rank
-from maxclass.sl2 import Sl2Module, primitive_basis, primitive_dimension
+from maxclass.sl2 import Sl2Module, primitive_basis
 from maxclass.verify import (
     verify_bordemann,
     verify_charp,
@@ -277,7 +277,7 @@ def test_criterion_14_sl2_route():
         for q in range(1, 5):
             for k in range(21):
                 want = distinct_V(q, k + q) - distinct_V(q, k - 1 + q)
-                if primitive_dimension(mod, q, k) != want:
+                if len(primitive_basis(mod, q, k)) != want:
                     ok, detail = False, f"lam={lam} q={q} k={k}"
                     break
             if not ok:

@@ -91,6 +91,60 @@ def test_cocycle_has_no_algebra_flag(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["cocycle", "--omega", "5,6", "--format", "csv"],
+    ["cocycle", "--w", "5", "--format", "csv"],
+])
+def test_cocycle_has_no_csv_format(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_betti_single_value_has_no_csv_format(capsys):
+    code, out, err = run(["betti", "--q", "2", "--k", "5", "--format", "csv"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--q", "2"],
+    ["--kmax", "6"],
+    ["--q", "2", "--qmax", "2", "--kmax", "6"],
+    ["--k", "5", "--qmax", "2", "--kmax", "6"],
+    ["--q", "2", "--k", "5", "--qmax", "9"],
+    ["--q", "2", "--k", "5", "--qmax", "9", "--kmax", "9"],
+])
+def test_betti_takes_exactly_one_complete_pair(argv, capsys):
+    code, out, err = run(["betti", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "goncharova", "--kmax", "-1"],
+    ["verify", "dixmier", "--qmax", "-1"],
+    ["betti", "--qmax", "2", "--kmax", "-4"],
+    ["betti", "--qmax", "-1", "--kmax", "4"],
+    ["gf", "--t-terms", "-3"],
+    ["gf", "--x-terms", "-1"],
+])
+def test_negative_window_is_a_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "is negative" in err
+
+
+def test_zero_window_is_accepted(capsys):
+    code, out, _ = run(["gf", "--t-terms", "0", "--x-terms", "0"], capsys)
+    assert code == 0
+    assert out.strip() == "1 t^0 x^0"
+
+
 def test_bad_algebra_spec(capsys):
     code, _, err = run(["betti", "--algebra", "zzz", "--q", "1", "--k", "1"],
                        capsys)

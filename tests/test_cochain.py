@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxclass import cochain
 from maxclass.algebra import GradedAlgebra, preset, subalgebra
-from maxclass.cochain import (Cochain, FieldMismatch, basis, cochain_from_json,
+from maxclass.cochain import (Cochain, FieldMismatch, basis,
                               cochain_text, cochain_to_json, differential,
                               differential_matrix, increasing_tuples, sort_with_sign,
                               wedge)
@@ -168,8 +168,8 @@ def test_text_and_json_roundtrip():
     c = mono((2, 5), -3) + mono((3, 4), 1).scaled(QQ.of(1, 2))
     text = cochain_text(c)
     assert text == "1/2 e3^e4 - 3 e2^e5"
-    back = cochain_from_json(QQ, cochain_to_json(c))
-    assert back == c
+    assert cochain_to_json(c) == [{"coeff": "1/2", "monomial": [3, 4]},
+                                  {"coeff": "-3", "monomial": [2, 5]}]
 
 
 @settings(max_examples=40)

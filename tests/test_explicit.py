@@ -12,7 +12,7 @@ from maxclass.cohomology import betti, is_exact
 from maxclass.explicit import (CharacteristicTwo, InvalidIndices, NoLeadingTerm,
                                cup_formula, d1_apply, d2_apply, d2_plus_d1sq,
                                d_minus1, d_minus2_class, leading_term, omega,
-                               omega_map, shift_last_index, w_cocycle)
+                               omega_map, w_cocycle)
 from maxclass.fields import QQ, PrimeField
 from maxclass.linalg import SparseMatrix, kernel_basis, rank
 
@@ -29,10 +29,10 @@ def test_d1_basics():
     assert d1_apply(mono((2,))).is_zero()
     assert d1_apply(mono((5,))) == mono((4,))
     assert d1_apply(mono((3, 4))) == mono((2, 4))  # e3^e3 term vanishes
-    # m2 mode kills e1 and e3
-    assert d1_apply(mono((3,)), "m2").is_zero()
-    assert d1_apply(mono((1,)), "m2").is_zero()
-    assert d1_apply(mono((5,)), "m2") == mono((4,))
+    # floor 3 (the m2 ideal) kills e1 and e3
+    assert d1_apply(mono((3,)), 3).is_zero()
+    assert d1_apply(mono((1,)), 3).is_zero()
+    assert d1_apply(mono((5,)), 3) == mono((4,))
 
 
 def test_d1_derivation_property():
@@ -174,18 +174,14 @@ def test_kernel_of_d1_spanned_by_omegas():
 
 
 def test_omega_map():
-    out, dropped = omega_map(mono((5, 6, 7)))
-    assert out == omega((5, 6))
-    assert dropped == 0
-    out, dropped = omega_map(mono((1, 6, 7)))
-    assert out.is_zero() and dropped == 1
+    assert omega_map(mono((5, 6, 7))) == omega((5, 6))
+    assert omega_map(mono((1, 6, 7))).is_zero()
 
 
 # --- leading terms ---------------------------------------------------------
 
 def test_leading_term():
     assert leading_term(omega((5, 6))) == (5, 6, 7)
-    assert shift_last_index((2, 4, 7)) == (2, 4, 8)
     with pytest.raises(NoLeadingTerm):
         leading_term(mono((2, 5)))
     with pytest.raises(NoLeadingTerm):
