@@ -4,12 +4,21 @@ Monomials are strictly increasing index tuples e^{i1} ^ ... ^ e^{iq}
 (degree = length, weight = index sum).  Cochains are finite scalar
 combinations; the differential is dual to the bracket and extended by
 the graded Leibniz rule, so it preserves weight and raises degree by 1.
+
+Every derivation (the differential, interior products, the maps of the
+Dixmier sequence, the D1 rules, the sl(2) operator X) runs through one
+kernel, `_derived_terms`, on bitmask monomials: (m_1, ..., m_q) is the
+integer sum_j 1 << m_j.  A term vanishes on one AND, lands on one OR,
+and takes its Koszul sign from one popcount, (-1)^popcount(base & S),
+by the parity identity popcount(b & A) + popcount(b & B) =
+popcount(b & (A ^ B)) mod 2 (see `_derived_terms`).  Each image tuple
+is compiled to its mask and S once: per (algebra, field) for the
+differential, per call for any other map.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache, lru_cache
-from math import inf
+from functools import lru_cache
 
 from .algebra import GradedAlgebra
 from .fields import QQ, Field
@@ -24,6 +33,11 @@ class FieldMismatch(ValueError):
 
 class UnsortedImage(ValueError):
     """An image tuple of a derivation is not strictly increasing."""
+
+
+class NegativeIndex(ValueError):
+    """A monomial or an image tuple of a derivation holds a negative
+    index, which has no bit in a monomial's mask."""
 
 
 def sort_with_sign(indices) -> tuple[Monomial, int] | None:
@@ -166,39 +180,122 @@ def basis(alg: GradedAlgebra, q: int, k: int) -> list[Monomial]:
     return list(_basis(alg, q, k))
 
 
-def _derived_terms(mono: Monomial, images):
-    """The terms of a derivation on one monomial, as (monomial,
-    coefficient, odd): the coefficient is passed through from images(i)
-    as given, and the term's sign is (-1)^odd.
+def _mask(mono) -> int:
+    """The bitmask sum_j 1 << m_j of a monomial; NegativeIndex if an
+    index is below 0."""
+    mm = 0
+    try:
+        for i in mono:
+            mm |= 1 << i
+    except ValueError:
+        raise NegativeIndex(f"monomial {mono!r} has a negative index") from None
+    return mm
 
-    Position t of mono is replaced by each image tuple `new` of mono[t].
-    With rest = mono[:t] + mono[t+1:], each x_j of new is placed at
-    pos_j = bisect_left(rest, x_j); the term vanishes if some x_j is in
-    rest, and is otherwise sorted(rest + new) with the sign
-    (-1)^(t + sum_j pos_j): moving e^(mono[t]) to the front costs
-    (-1)^t, and merging new into rest costs (-1)^(sum_j pos_j).  That is
-    the permutation sign of head + new + tail times the Koszul sign
-    (-1)^(t * (len(new) - 1)): none for an even derivation (1-tuples),
-    (-1)^t for the differential (pairs) and for the interior product
-    (the empty tuple).  The rule needs every image tuple strictly
-    increasing: UnsortedImage is raised for one that is not, unless its
-    term vanishes on an index met before the first one out of order
-    (such a term is zero in any order)."""
-    for t, i in enumerate(mono):
-        rest = mono[:t] + mono[t + 1:]
-        n = len(rest)
-        for v, new in images(i):
-            odd, last = t, -inf
+
+def _indices(mask: int) -> Monomial:
+    """The monomial of a bitmask: its set bits, lowest first."""
+    out = []
+    while mask:
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    out.reverse()
+    return tuple(out)
+
+
+class _Unsorted:
+    """The coefficient pair of an image tuple that is not strictly
+    increasing: reading it raises UnsortedImage, so a term that vanishes
+    first on an earlier index of the tuple never reads it."""
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def __getitem__(self, odd):
+        raise UnsortedImage(self.message)
+
+
+class _Compiled(dict):
+    """An image map over one field with its images compiled for
+    `_derived_terms`: calling it gives images(i), and self[i] is the
+    image of e^i compiled on first use and kept as long as self.
+
+    A nonzero coefficient v with a strictly increasing tuple
+    x_1 < ... < x_r compiles to (mask, S, (v, -v)): mask = sum_j 1 << x_j
+    and S = below(i) ^ below(x_1) ^ ... ^ below(x_r), with
+    below(x) = (1 << x) - 1.  A zero coefficient compiles to nothing.  A
+    tuple out of order compiles to the mask of its indices before the
+    first one out of order and an `_Unsorted` pair."""
+
+    __slots__ = ("images", "field")
+
+    def __init__(self, images, field: Field):
+        self.images, self.field = images, field
+
+    def __call__(self, i):
+        return self.images(i)
+
+    def __missing__(self, i):
+        field = self.field
+        below_i = (1 << i) - 1
+        out = []
+        for v, new in self.images(i):
+            if field.is_zero(v):
+                continue
+            mask, S, last = 0, below_i, -1
             for x in new:
+                if x < 0:
+                    raise NegativeIndex(f"image {new!r} of e^{i} has a negative index")
                 if x <= last:
-                    raise UnsortedImage(f"image {new!r} of e^{i} is not strictly increasing")
-                last = x
-                pos = bisect_left(rest, x)
-                if pos < n and rest[pos] == x:
+                    vs = _Unsorted(f"image {new!r} of e^{i} is not strictly increasing")
                     break
-                odd += pos
+                bit = 1 << x
+                mask |= bit
+                S ^= bit - 1
+                last = x
             else:
-                yield tuple(sorted(rest + new)), v, odd & 1
+                vs = (v, field.neg(v))
+            out.append((mask, S, vs))
+        self[i] = out
+        return out
+
+
+def _compiled(images, field: Field) -> _Compiled:
+    """An image map compiled for `_derived_terms`: itself if it already is
+    one over this field (the differential's, see `_generator_images`),
+    else compiled for this call."""
+    if isinstance(images, _Compiled) and images.field == field:
+        return images
+    return _Compiled(images, field)
+
+
+def _derived_terms(mono, terms):
+    """The terms of a derivation on one monomial, as (mask, coefficient):
+    mask is the target monomial's bitmask and the coefficient is v or -v
+    for an image coefficient v.  `terms` is a `_Compiled` image map.
+
+    Position t of mono, holding index i, is replaced by each image tuple
+    x_1 < ... < x_r of e^i.  With base = mask(mono) ^ (1 << i), the
+    bitmask of the other indices, the term vanishes iff base & mask
+    (some x_j is among them); otherwise its target is base | mask and
+    its sign is (-1)^(t + sum_j pos_j), where pos_j = popcount(base &
+    below(x_j)) is the place of x_j among the other indices and
+    t = popcount(base & below(i)): moving e^i to the front costs
+    (-1)^t, and merging the tuple in costs (-1)^(sum_j pos_j).  Since
+    popcount(b & A) + popcount(b & B) = popcount(b & (A ^ B)) mod 2,
+    that sign is (-1)^popcount(base & S) for the one compiled S.  It is
+    the permutation sign of head + tuple + tail times the Koszul sign
+    (-1)^(t * (r - 1)): none for an even derivation (1-tuples), (-1)^t
+    for the differential (pairs) and for the interior product (the empty
+    tuple).  A tuple not strictly increasing raises UnsortedImage, unless
+    its term vanishes on an index met before the first one out of order
+    (such a term is zero in any order)."""
+    mm = _mask(mono)
+    for i in mono:
+        base = mm ^ (1 << i)
+        for mask, S, vs in terms[i]:
+            if not base & mask:
+                yield base | mask, vs[(base & S).bit_count() & 1]
 
 
 def derive(c: Cochain, images) -> Cochain:
@@ -206,16 +303,16 @@ def derive(c: Cochain, images) -> Cochain:
 
     images(i) lists (coefficient, index tuple) pairs, the image of e^i,
     each tuple strictly increasing; coefficients are field elements (the
-    integer 1 is one in every field).  Each position t of each monomial
-    is replaced in turn by each image tuple with the sign
-    (-1)^(t + sum_j pos_j) of `_derived_terms`."""
+    integer 1 is one in every field).  Each position of each monomial is
+    replaced in turn by each image tuple with the sign of
+    `_derived_terms`.  A map compiled by `_generator_images` keeps its
+    compiled terms; any other is compiled for this call only."""
     f = c.field
-    out: dict[Monomial, object] = {}
+    terms = _compiled(images, f)
+    out: dict[int, object] = {}
     for mono, coeff in c.terms.items():
-        for m, v, odd in _derived_terms(mono, images):
+        for m, v in _derived_terms(mono, terms):
             term = f.mul(coeff, v)
-            if odd:
-                term = f.neg(term)
             prev = out.get(m)
             if prev is not None:
                 term = f.add(prev, term)
@@ -223,7 +320,7 @@ def derive(c: Cochain, images) -> Cochain:
                     del out[m]
                     continue
             out[m] = term
-    return Cochain(f, out)
+    return Cochain(f, {_indices(m): v for m, v in out.items()})
 
 
 def map_matrix(field: Field, source, target, images) -> SparseMatrix:
@@ -232,20 +329,14 @@ def map_matrix(field: Field, source, target, images) -> SparseMatrix:
     in the monomial basis target.  images(i) lists (coefficient, strictly
     increasing index tuple) pairs, the image of e^i, as in `derive`.
     Each column is written straight into the entries, adding only where
-    a row repeats."""
+    a row repeats; rows are found by their monomials' bitmasks."""
     f = field
-    row_index = {m: r for r, m in enumerate(target)}
-
-    @cache
-    def signed(i):
-        # each nonzero image coefficient with its negative, indexed by odd
-        return [((v, f.neg(v)), new) for v, new in images(i) if not f.is_zero(v)]
-
+    row_index = {_mask(m): r for r, m in enumerate(target)}
     entries: dict[tuple[int, int], object] = {}
+    terms = _compiled(images, f)
     for j, mono in enumerate(source):
-        for m, vs, odd in _derived_terms(mono, signed):
+        for m, v in _derived_terms(mono, terms):
             key = (row_index[m], j)
-            v = vs[odd]
             prev = entries.get(key)
             if prev is not None:
                 v = f.add(prev, v)
@@ -258,10 +349,9 @@ def map_matrix(field: Field, source, target, images) -> SparseMatrix:
 
 
 @lru_cache(maxsize=None)
-def _generator_images(alg: GradedAlgebra, field: Field):
-    """i -> d e^i as (coefficient, (a, i - a)) with a < i - a, each
-    computed once per (algebra, field)."""
-    @cache
+def _generator_images(alg: GradedAlgebra, field: Field) -> _Compiled:
+    """i -> d e^i as (coefficient, (a, i - a)) with a < i - a, compiled
+    once per (algebra, field)."""
     def images(i):
         out = []
         for a in alg.generators_up_to((i - 1) // 2):
@@ -270,7 +360,7 @@ def _generator_images(alg: GradedAlgebra, field: Field):
                 if not field.is_zero(v):
                     out.append((v, (a, i - a)))
         return out
-    return images
+    return _Compiled(images, field)
 
 
 def differential(alg: GradedAlgebra, c: Cochain) -> Cochain:

@@ -68,7 +68,6 @@ def adx_star(split: IdealSplit, c: Cochain) -> Cochain:
     f = c.field
     x = split.x_index
 
-    @cache
     def images(k):
         j = k - x
         coeff = split.parent.bracket(x, j) if j >= 1 and split.ideal.contains(j) else 0
@@ -143,9 +142,16 @@ def verify_exactness(split: IdealSplit, qmax: int, kmax: int,
     def images(n, k):
         return [maps[n % 3](c) for c in reps(*position(n, k))]
 
+    # a rank depends on the target cell and the nonzero cochains' terms;
+    # the composite checks repeat many of these
+    ranks = {}
+
     def rank(n, k, cochains):
         alg, q, kk = position(n + 1, k)
-        return class_rank(alg, cochains, q, kk, field)
+        key = (alg, q, kk, tuple(tuple(c.terms.items()) for c in cochains if c.terms))
+        if key not in ranks:
+            ranks[key] = class_rank(alg, cochains, q, kk, field)
+        return ranks[key]
 
     # map n's rank is node n's rank_out and node n + 1's rank_in
     @cache

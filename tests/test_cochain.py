@@ -1,14 +1,16 @@
+import weakref
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import derivation_oracle as oracle
 from maxclass import cochain
 from maxclass.algebra import GradedAlgebra, preset, subalgebra
-from maxclass.cochain import (Cochain, FieldMismatch, basis,
-                              cochain_text, cochain_to_json, differential,
-                              differential_matrix, increasing_tuples, sort_with_sign,
-                              wedge)
+from maxclass.cochain import (Cochain, FieldMismatch, NegativeIndex, basis,
+                              cochain_text, cochain_to_json, derive, differential,
+                              differential_matrix, increasing_tuples, map_matrix,
+                              sort_with_sign, wedge)
 from maxclass.combinatorics import distinct_V, partitions_P
 from maxclass.fields import QQ, PrimeField
 
@@ -127,20 +129,24 @@ def test_differential_matrix_shape_and_action():
 
 
 def test_generator_images_are_built_once_per_algebra_and_field(monkeypatch):
-    calls = []
-    bracket = GradedAlgebra.bracket
+    calls, compiled = [], []
+    bracket, compile_ = GradedAlgebra.bracket, cochain._Compiled.__missing__
     monkeypatch.setattr(GradedAlgebra, "bracket",
                         lambda alg, i, j: calls.append((i, j)) or bracket(alg, i, j))
+    monkeypatch.setattr(cochain._Compiled, "__missing__",
+                        lambda self, i: compiled.append((self.field, i)) or compile_(self, i))
     l1 = preset("l1")
+    cochain._generator_images.cache_clear()
     first = differential_matrix(l1, 3, 21, QQ)
+    # C^3_21 holds e^1 .. e^18, and each d e^i is compiled once
+    assert sorted(compiled) == [(QQ, i) for i in range(1, 19)]
     calls.clear()
     assert differential_matrix(l1, 3, 21, QQ).entries == first.entries
-    # every generator here is at most 18, as in C^3_21
     differential_matrix(l1, 2, 19, QQ)
     differential(l1, Cochain.monomial(QQ, (4, 17)))
-    assert calls == []
+    assert calls == [] and len(compiled) == 18
     differential_matrix(l1, 3, 21, PrimeField(7))
-    assert calls
+    assert calls and sorted(compiled[18:]) == [(PrimeField(7), i) for i in range(1, 19)]
 
 
 def test_generator_images_are_not_shared_between_subalgebras():
@@ -155,6 +161,62 @@ def test_generator_images_are_not_shared_between_subalgebras():
     assert cochain._generator_images(m2, QQ)(5) == [(1, (1, 4)), (1, (2, 3))]
     assert cochain._generator_images(without_2, QQ)(5) == [(1, (1, 4))]
     assert cochain._generator_images(from_3, QQ)(5) == []
+    # so are the compiled terms (mask, S, (v, -v)), S = below(5) ^ below(a) ^ below(b)
+    e14 = (0b10010, 0b11111 ^ 0b1 ^ 0b1111, (1, -1))
+    e23 = (0b01100, 0b11111 ^ 0b11 ^ 0b111, (1, -1))
+    assert cochain._generator_images(m2, QQ)[5] == [e14, e23]
+    assert cochain._generator_images(without_2, QQ)[5] == [e14]
+    assert cochain._generator_images(from_3, QQ)[5] == []
+    assert differential(without_2, mono((5,))) == mono((1, 4))
+
+
+def test_an_image_map_is_not_kept_after_the_call():
+    """derive and map_matrix compile a caller's image map for the call
+    only: nothing holds the map, or its compiled terms, afterwards."""
+    def images(i):
+        return [(1, (i - 1,))] if i > 1 else []
+    kept = weakref.ref(images)
+    assert derive(mono((3, 5)), images) == mono((2, 5)) + mono((3, 4))
+    assert map_matrix(QQ, [(3, 5)], [(2, 5), (3, 4)], images).entries == {(0, 0): 1, (1, 0): 1}
+    del images
+    assert kept() is None
+
+
+def test_negative_indices_are_refused_by_name():
+    """An index below 0 has no bit in a monomial's mask: derive and
+    map_matrix raise NegativeIndex, a ValueError, for one in a monomial
+    or in an image tuple."""
+    assert issubclass(NegativeIndex, ValueError)
+
+    def shift(i):
+        return [(1, (i - 1,))]
+    with pytest.raises(NegativeIndex):
+        derive(Cochain(QQ, {(-1, 2): 1}), shift)
+    with pytest.raises(NegativeIndex):
+        derive(mono((0, 2)), shift)
+    with pytest.raises(NegativeIndex):
+        map_matrix(QQ, [(-1, 2)], [(-1, 1)], shift)
+    with pytest.raises(NegativeIndex):
+        map_matrix(QQ, [(1, 2)], [(-1, 2)], shift)
+    with pytest.raises(NegativeIndex):
+        map_matrix(QQ, [(0, 2)], [(0, 1)], shift)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_differential_matrix_past_one_machine_word(field):
+    """Weights 64 and up put monomial masks past 64 bits; the entries,
+    their order and their scalar types still equal the oracle's."""
+    l1 = preset("l1")
+    images = cochain._generator_images(l1, field)
+    for k in (64, 65, 70):
+        for q in range(3):
+            A = differential_matrix(l1, q, k, field)
+            B = oracle.assemble(field, basis(l1, q, k), basis(l1, q + 1, k), images)
+            assert (A.rows, A.cols, A.row_labels, A.col_labels) == \
+                (B.rows, B.cols, B.row_labels, B.col_labels)
+            assert list(A.entries.items()) == list(B.entries.items())
+            assert [type(v) for v in A.entries.values()] == \
+                [type(v) for v in B.entries.values()]
 
 
 def test_bidegree():

@@ -1,6 +1,6 @@
-"""The bisect-placed derivation kernel `cochain._derived_terms`, through
-`derive` and `map_matrix`, against the earlier sort-per-term derivation
-kept in `derivation_oracle`."""
+"""The bitmask derivation kernel `cochain._derived_terms` (one popcount
+sign per term), through `derive` and `map_matrix`, against the earlier
+sort-per-term derivation kept in `derivation_oracle`."""
 from fractions import Fraction
 from itertools import combinations
 
