@@ -3,18 +3,27 @@
 This is the brute-force route: dimensions come from exact ranks of the
 differential, representatives from the reduced echelon kernel basis,
 selected by the pivots of the image.  Matrices and ranks are cached per
-(algebra, field, q, k) since the table computations reuse them heavily.
+(algebra, field, q, k), ranks with their capped passes, since the table
+computations reuse them heavily.
 
-The rank of d^q_k, q > 0, uses the complex: where d∘d = 0 on weight
-k, rank d^q_k <= dim C^q_k - rank d^{q-1}_k, and linalg.rank stops its
-one echelon pass at that bound.  No rule is trusted to satisfy Jacobi.
-d∘d is an even derivation in every characteristic, so it vanishes on
-weight k once d d e^i = 0 for every generator i of weight <= k; this is
-checked once per generator over Q, and it holds over every F_p too,
-since d over F_p is the reduction mod p of d over Q.  Over Q an acyclic
-cell (b^q_k = 0) reaches the bound and costs one pass modulo one prime;
-any other cell takes the certified modular path.  Over F_p the one pass
-is the rank whether or not it reaches the bound.
+The rank of d^q_k uses the complex.  One echelon pass, modulo the
+first prime over Q, stops at a proven bound on the rank: the support of
+d^q_k (its nonzero rows or columns, whichever are fewer), and where
+d∘d = 0 on weight k, the cap dim C^q_k - rank d^{q-1}_k.  Over F_p that
+pass is the rank whether or not it reaches the bound.  Over Q a pass
+that reaches it has found the rank, since rank mod p <= rank over Q.
+On a miss where d∘d = 0, the pass of d^{q+1} gives a third bound,
+rank d^q_k <= dim C^{q+1}_k - rank_p d^{q+1}_k; that pass is kept, and
+it is the one the rank of d^{q+1} reads.  Only a cell that reaches none
+of the three bounds takes the certified modular path: at a prime that
+loses no rank, a cell whose rank is below its support and that has
+cohomology in both degrees q and q+1.
+
+No rule is trusted to satisfy Jacobi.  d∘d is an even derivation in
+every characteristic, so it vanishes on weight k once d d e^i = 0 for
+every generator i of weight <= k; this is checked once per generator
+over Q, and it holds over every F_p too, since d over F_p is the
+reduction mod p of d over Q.
 """
 from __future__ import annotations
 
@@ -60,11 +69,36 @@ def _d_squared_vanishes(alg: GradedAlgebra, k: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _cached_rank(alg: GradedAlgebra, field: Field, q: int, k: int) -> int:
+def _cached_rank(alg: GradedAlgebra, field: Field, q: int, k: int, stop: int | None = None):
+    """rank d^q_k, certified over Q.  With `stop`, the record of one
+    capped pass instead: (pivot count, bound) of linalg.capped_pass(d^q_k,
+    stop).  Ranks and passes share this cache, so the pass that one rank
+    runs for a neighbouring degree is not run again for that degree's
+    own rank, and clearing the ranks clears the passes.
+
+    Over Q the count of the first prime's pass is the rank once it
+    reaches a proven bound (rank_p <= rank_Q):
+      - the support, which bounds every matrix;
+      - the cap dim C^q_k - rank d^{q-1}_k, where d∘d = 0 on weight k;
+      - the next degree, where d∘d = 0 on weight k: im d^q lies in
+        ker d^{q+1}, so rank_Q d^q <= dim C^{q+1}_k - rank_p d^{q+1}_k,
+        and a pass of d^{q+1} that reaches dim C^{q+1}_k - found
+        certifies found.  That stop is the cap d^{q+1}'s own rank uses.
+    Only a cell that reaches none of them takes the certified path."""
     d = _cached_matrix(alg, field, q, k)
-    if q == 0 or d.is_zero() or not _d_squared_vanishes(alg, k):
-        return linalg.rank(d)
-    return linalg.rank(d, at_most=d.cols - _cached_rank(alg, field, q - 1, k))
+    if stop is not None:
+        return linalg.capped_pass(d, stop)
+    if d.is_zero():
+        return 0
+    closed = _d_squared_vanishes(alg, k)
+    cap = d.cols - (_cached_rank(alg, field, q - 1, k) if q and closed else 0)
+    found, bound = _cached_rank(alg, field, q, k, cap)
+    if field.characteristic or found == bound:
+        return found
+    above = d.rows - found
+    if closed and _cached_rank(alg, field, q + 1, k, above)[0] == above:
+        return found
+    return linalg.rank(d)
 
 
 def betti(alg: GradedAlgebra, q: int, k: int, field: Field = QQ) -> int:

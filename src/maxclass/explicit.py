@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import preset
-from .cochain import Cochain, Monomial, derive, differential, wedge
+from .cochain import Cochain, Monomial, _compiled, derive, differential, wedge
 from .fields import QQ, Field
 
 
@@ -40,11 +40,17 @@ class NoLeadingTerm(ValueError):
 # ---------------------------------------------------------------------------
 # derivations
 
+def _d1_images(floor: int):
+    """The images of D1 on generators: e^i -> e^{i-1}, and 0 on e^1 and
+    e^floor."""
+    return lambda i: [] if i in (1, floor) else [(1, (i - 1,))]
+
+
 def d1_apply(c: Cochain, floor: int = 2) -> Cochain:
     """ad e1^* as a derivation: e^i -> e^{i-1}, killing e^1 and the
     bottom generator e^floor of the ideal (2 for m0; 3 for the ideal
     spanned by e^1, e^3, e^4, ... inside m2)."""
-    return derive(c, lambda i: [] if i in (1, floor) else [(1, (i - 1,))])
+    return derive(c, _d1_images(floor))
 
 
 def d2_apply(c: Cochain) -> Cochain:
@@ -84,12 +90,14 @@ def _expand(xi: Cochain, step, stage) -> Cochain:
 
 
 def _omega_sum(xi: Cochain, top: int, floor: int = 2) -> Cochain:
-    """sum_l (-1)^l D1^l(xi) ^ e^{top+1+l}."""
+    """sum_l (-1)^l D1^l(xi) ^ e^{top+1+l}; D1 is compiled once for all
+    the steps."""
     f = xi.field
+    d1 = _compiled(_d1_images(floor), f)
 
     def stage(l, x):
         return wedge(x, Cochain.monomial(f, (top + 1 + l,), f.of(-1 if l % 2 else 1)))
-    return _expand(xi, lambda x: d1_apply(x, floor), stage)
+    return _expand(xi, lambda x: derive(x, d1), stage)
 
 
 def d_minus1(c: Cochain) -> Cochain:

@@ -12,14 +12,16 @@ Over F_p it runs once, modulo p.  Over Q it is certified modular
 elimination: it runs modulo word-size primes, the RREF kernel vectors
 (or the solution) are rebuilt by Chinese remaindering and rational
 reconstruction, and nothing is returned before an exact integer check
-(see _certified_kernel).  A rank with a bound from the caller
-(rank(M, at_most)) stops its one pass at that bound; over Q a pass
-that reaches it needs no check, since its count is certified.  That
-pass takes the rows in another order (see _triangular_first): one row
-for each leading column, then one for each last column not yet met,
-then the rest, so that few rows reduce to zero before its last pivot.
-Every full pass keeps the bottom-up order: it meets every row anyway,
-and there the new order would only add fill-in.
+(see _certified_kernel).  A capped pass (capped_pass, and rank(M,
+at_most)) stops its one pass at a proven bound: the caller's, or the
+support of M (its nonzero rows or its nonzero columns, whichever are
+fewer), if that is lower.  Over Q a pass that reaches its bound needs
+no check, since its count is certified.  That pass takes the rows in
+another order (see _triangular_first): one row for each leading
+column, then one for each last column not yet met, then the rest, so
+that few rows reduce to zero before its last pivot.  Every full pass
+keeps the bottom-up order: it meets every row anyway, and there the new
+order would only add fill-in.
 """
 from __future__ import annotations
 
@@ -390,26 +392,41 @@ def pivot_columns(M: SparseMatrix) -> list[int]:
     return sorted(_echelon(_rows(M), p)[0])
 
 
+def capped_pass(M: SparseMatrix, at_most: int) -> tuple[int, int]:
+    """One echelon pass of M, modulo p over F_p and modulo the first prime
+    over Q, that stops at its b-th pivot: (its pivot count, b).
+
+    `at_most` is a promise of the caller: rank M <= at_most (over Q,
+    rank_Q M <= at_most).  b is the least of at_most, the number of
+    nonzero rows and the number of nonzero columns of M; the last two
+    bound every rank, are read off the rows the pass takes, and count
+    the entries of M, not their residues.  The pass takes the rows with
+    distinct leading columns first, then those with distinct last
+    columns, then the rest (_triangular_first): each of the first two
+    groups is independent, so few rows reduce to zero before the last
+    pivot.  The pivot count does not depend on the order.  Over F_p it
+    is the rank, whether the pass stops at b or ends below it.  Over Q
+    a count equal to b is the rank, since rank_p <= rank_Q <= b; a
+    count below b is only a lower bound.  A wrong promise gives a wrong
+    rank."""
+    rows = _rows(M)
+    bound = min(at_most, len(rows), len(set().union(*rows)))
+    if not bound:
+        return 0, 0
+    p = M.field.characteristic or next(_primes())
+    return len(_echelon(_triangular_first(rows), p, bound)[0]), bound
+
+
 def rank(M: SparseMatrix, at_most: int | None = None) -> int:
     """Exact rank.
 
-    `at_most` is a promise of the caller: rank M <= at_most (over Q,
-    rank_Q M <= at_most).  One echelon pass, modulo p over F_p and modulo
-    the first prime over Q, then stops at its at_most-th pivot.  It takes
-    the rows with distinct leading columns first, then those with
-    distinct last columns, then the rest (_triangular_first): each of
-    the first two groups is independent, so few rows reduce to zero
-    before the last pivot.  The pivot count does not depend on the
-    order.  Over F_p
-    that pass is the rank, whether it stops at the bound or ends below
-    it.  Over Q a pass that gets there has found the rank, since rank_p
-    <= rank_Q <= at_most; one that ends below at_most proves nothing, and
-    the rank is found as without a bound.  A wrong promise gives a wrong
-    rank."""
-    if at_most is not None and not M.is_zero():
-        p = M.field.characteristic
-        found = len(_echelon(_triangular_first(_rows(M)), p or next(_primes()), at_most)[0])
-        if p or found == at_most:
+    With `at_most`, a promise rank M <= at_most, one capped pass
+    (capped_pass) first: over F_p its count is the rank, and over Q it
+    is the rank when the pass reaches its bound.  Otherwise the rank is
+    found by the full (over Q, certified) elimination."""
+    if at_most is not None:
+        found, bound = capped_pass(M, at_most)
+        if M.field.characteristic or found == bound:
             return found
     return len(pivot_columns(M))
 

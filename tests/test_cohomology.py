@@ -1,18 +1,23 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxclass import cohomology, linalg
-from maxclass.algebra import GradedAlgebra, _m0_rule, preset, subalgebra, validate
+from maxclass import cochain, cohomology, linalg
+from maxclass.algebra import (GradedAlgebra, _m0_rule, load_custom, preset, subalgebra,
+                              validate)
 from maxclass.cochain import Cochain, basis, differential
 from maxclass.cohomology import (NotCocycle, RouteMismatch, betti, betti_table,
                                  class_coordinates, class_rank, euler_characteristic,
                                  is_exact, representatives)
 from maxclass.combinatorics import distinct_V, partitions_P
 from maxclass.fields import QQ, PrimeField
+
+import elimination_oracle
 
 
 def test_h1():
@@ -262,26 +267,134 @@ def test_cached_rank_equals_the_uncapped_rank_on_lk(n):
     test_cached_rank_equals_the_uncapped_rank(preset("lk", n))
 
 
-def test_acyclic_cells_take_one_echelon_pass(monkeypatch):
-    """Over Q, a cell with q >= 1 and b^q_k = 0 reaches the bound at the
-    first prime: its rank costs one echelon pass.  Every other nonzero
-    d^q_k, q >= 1, takes the certified path, which needs more."""
-    passes = []
-    echelon = linalg._echelon
+def test_qq_cells_take_one_echelon_pass(monkeypatch):
+    """Over Q every nonzero d^q_k of l1, q <= 3, is eliminated exactly
+    once, in a pass at the first prime that reaches a bound, and the
+    certified path never runs: also on the cells with cohomology, where
+    the cap is not reached."""
+    eliminated = []
+    capped_pass, echelon = linalg.capped_pass, linalg._echelon
+    current = []
+    monkeypatch.setattr(linalg, "capped_pass",
+                        lambda M, at_most: current.append(M) or capped_pass(M, at_most))
     monkeypatch.setattr(linalg, "_echelon",
-                        lambda *args: passes.append(1) or echelon(*args))
+                        lambda *args: eliminated.append(id(current[-1])) or echelon(*args))
+    monkeypatch.setattr(linalg, "_certified_kernel",
+                        lambda *args: pytest.fail("the certified path ran"))
     l1 = preset("l1")
     cohomology._cached_rank.cache_clear()
-    one_pass = 0
-    for k in range(31):
-        for q in range(4):
-            before = len(passes)
-            b = betti(l1, q, k)
-            if q == 0 or cohomology._cached_matrix(l1, QQ, q, k).is_zero():
-                continue
-            assert (len(passes) - before == 1) == (b == 0), (q, k)
-            one_pass += b == 0
-    assert one_pass > 50
+    table = {(q, k): betti(l1, q, k) for k in range(31) for q in range(4)}
+    nonzero = {id(d) for (q, k) in table
+               if not (d := cohomology._cached_matrix(l1, QQ, q, k)).is_zero()}
+    assert Counter(eliminated).most_common(1)[0][1] == 1
+    assert nonzero <= set(eliminated)
+    assert [cell for cell, b in table.items() if b and cell[0]] \
+        == [(1, 1), (1, 2), (2, 5), (2, 7), (3, 12), (3, 15)]
+
+
+def _rescaled(name, n, j):
+    """The truncation at n of a preset in the basis e_j -> 3 e_j, loaded
+    through load_custom: [e_a, e_b] = c e_{a+b} becomes
+    c λ_a λ_b / λ_{a+b} with λ_j = 3, so some constants are divisible by
+    3 and others have denominator 3.  Its Betti numbers are the preset's
+    at every weight <= n."""
+    alg = preset(name)
+    lam = {j: 3}
+    brackets = []
+    for a in range(1, n):
+        for b in range(a + 1, n + 1 - a):
+            c = alg.bracket(a, b) * lam.get(a, 1) * lam.get(b, 1) / lam.get(a + b, 1)
+            if c:
+                brackets.append({"i": a, "j": b, "terms": [
+                    {"num": c.numerator, "den": c.denominator, "k": a + b}]})
+    return load_custom({"name": f"{name}-rescaled", "truncation": n, "brackets": brackets})
+
+
+def _oracle_ranks(d):
+    """(rank over Q, rank mod 3, support) of d, by dense elimination in
+    the test oracle, which shares no code with linalg."""
+    if d.is_zero():
+        return 0, 0, 0
+    rows = elimination_oracle.integer_rows(d.to_dense())
+    mod3 = [[x % 3 for x in row] for row in rows]
+    support = min(sum(map(any, rows)), sum(map(any, zip(*rows))))
+    return (elimination_oracle.rank_int(rows, d.cols),
+            elimination_oracle.rref_fp(mod3, d.cols, 3)[0], support)
+
+
+def test_a_rank_deficient_first_prime_changes_no_betti_number(monkeypatch):
+    """With 3 as the first prime, rank_3 d^q_k < rank_Q d^q_k on some
+    cells; there the pass reaches no bound and must not be accepted.
+    Over the two rescaled truncations, at prime 3 each of the cap, the
+    support and the next-degree bound certifies some cell, and some
+    deficient cells have rank_Q equal to each of the three bounds, so
+    that each path meets a count that would be wrong.  betti gives the
+    Q value on every cell."""
+    primes = linalg._primes
+    monkeypatch.setattr(linalg, "_primes", lambda: chain([3], primes()))
+    cohomology._cached_rank.cache_clear()
+    paths, tight_when_deficient = Counter(), Counter()
+    for name, j in (("m0", 5), ("m2", 9)):
+        alg = _rescaled(name, 22, j)
+        ranks = {(q, k): _oracle_ranks(cohomology._cached_matrix(alg, QQ, q, k))
+                 for q in range(-1, 6) for k in range(23)}
+        for k in range(23):
+            for q in range(5):
+                (r, r3, support), d = ranks[q, k], cohomology._cached_matrix(alg, QQ, q, k)
+                assert betti(alg, q, k) == d.cols - r - ranks[q - 1, k][0] \
+                    == betti(preset(name), q, k), (name, q, k)
+                if d.is_zero():
+                    continue
+                cap = d.cols - ranks[q - 1, k][0]
+                bounds = {"cap": cap, "support": support,
+                          "next": d.rows - ranks[q + 1, k][1]}
+                reached = [b for b, v in bounds.items() if r3 == v]
+                paths[reached[0] if reached else "none"] += 1
+                if r3 < r:
+                    assert not reached, (name, q, k)
+                    bounds["next"] = d.rows - ranks[q + 1, k][0]
+                    tight_when_deficient.update(b for b, v in bounds.items() if r == v)
+    assert all(paths[b] for b in ("cap", "support", "next", "none"))
+    assert all(tight_when_deficient[b] for b in ("cap", "support", "next"))
+
+
+def _clear_caches(monkeypatch):
+    """Every cache a Betti number reads: bases, compiled d e^i,
+    matrices, ranks with their passes, and the d∘d watermark."""
+    for cached in (cochain._basis, cochain._generator_images, cohomology._cached_matrix,
+                   cohomology._cached_rank):
+        cached.cache_clear()
+    monkeypatch.setattr(cohomology, "_D_SQUARED_ZERO", {})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+@pytest.mark.parametrize("alg", [preset("m0"), preset("m2"), preset("l1"),
+                                 preset("l1quot", 8)], ids=repr)
+def test_cell_order_and_cache_state_change_no_betti_number(alg, field, monkeypatch):
+    """A cell's rank may be read from the pass that a neighbour's rank
+    ran, and its cap from the degree below: with every cache cleared,
+    the q <= 5 window filled in shuffled order, and in descending q and
+    k, gives the in-order table."""
+    cells = [(q, k) for q in range(6) for k in range(31)]
+    _clear_caches(monkeypatch)
+    in_order = {cell: betti(alg, *cell, field) for cell in cells}
+    shuffled = cells[:]
+    random.Random(repr(alg)).shuffle(shuffled)
+    for order in (shuffled, cells[::-1]):
+        _clear_caches(monkeypatch)
+        assert {cell: betti(alg, *cell, field) for cell in order} == in_order
+
+
+def test_m0_cells_take_no_certified_path(monkeypatch):
+    """m0 at q <= 6, k <= 40 over Q: every rank is certified by a bound
+    at the first prime (the support, where the cap is not reached)."""
+    calls = []
+    certified = linalg._certified_kernel
+    monkeypatch.setattr(linalg, "_certified_kernel",
+                        lambda *args: calls.append(1) or certified(*args))
+    cohomology._cached_rank.cache_clear()
+    betti_table(preset("m0"), 6, 40)
+    assert not calls
 
 
 def _m0_with_e2_e3():
