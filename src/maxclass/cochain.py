@@ -305,8 +305,11 @@ def derive(c: Cochain, images) -> Cochain:
     each tuple strictly increasing; coefficients are field elements (the
     integer 1 is one in every field).  Each position of each monomial is
     replaced in turn by each image tuple with the sign of
-    `_derived_terms`.  A map compiled by `_generator_images` keeps its
-    compiled terms; any other is compiled for this call only."""
+    `_derived_terms`.  A `_Compiled` map over the same field is used as
+    it is, so a caller that passes one to many calls compiles each
+    image once (as `_generator_images` does for d, and
+    `explicit._omega_sum` for D1 per expansion); a plain callable is
+    compiled for this call only."""
     f = c.field
     terms = _compiled(images, f)
     out: dict[int, object] = {}

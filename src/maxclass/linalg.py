@@ -12,16 +12,15 @@ Over F_p it runs once, modulo p.  Over Q it is certified modular
 elimination: it runs modulo word-size primes, the RREF kernel vectors
 (or the solution) are rebuilt by Chinese remaindering and rational
 reconstruction, and nothing is returned before an exact integer check
-(see _certified_kernel).  A capped pass (capped_pass, and rank(M,
-at_most)) stops its one pass at a proven bound: the caller's, or the
-support of M (its nonzero rows or its nonzero columns, whichever are
-fewer), if that is lower.  Over Q a pass that reaches its bound needs
-no check, since its count is certified.  That pass takes the rows in
-another order (see _triangular_first): one row for each leading
-column, then one for each last column not yet met, then the rest, so
-that few rows reduce to zero before its last pivot.  Every full pass
-keeps the bottom-up order: it meets every row anyway, and there the new
-order would only add fill-in.
+(see _certified_kernel).  A capped pass (capped_pass) stops its one
+pass at a proven bound: the caller's, or the support of M (its nonzero
+rows or its nonzero columns, whichever are fewer), if that is lower.
+Over Q a pass that reaches its bound needs no check, since its count is
+certified.  That pass takes the rows in another order (see
+_triangular_first): one row for each leading column, then one for each
+last column not yet met, then the rest, so that few rows reduce to zero
+before its last pivot.  Every full pass keeps the bottom-up order: it
+meets every row anyway, and there the new order would only add fill-in.
 """
 from __future__ import annotations
 
@@ -165,6 +164,8 @@ def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
     masks: dict[int, int] = {}
     independent = []
     for src in rows:
+        if len(pivots) == stop:
+            break
         mask = 0
         for c, v in src.items():
             acc[c] = v
@@ -199,8 +200,6 @@ def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
             for j, x in prow.items():
                 acc[j] -= v * x
             mask |= masks[c]
-        if len(pivots) == stop:
-            break
     for c, prow in pivots.items():
         prow[c] = 1
     return pivots, independent
@@ -411,23 +410,13 @@ def capped_pass(M: SparseMatrix, at_most: int) -> tuple[int, int]:
     rank."""
     rows = _rows(M)
     bound = min(at_most, len(rows), len(set().union(*rows)))
-    if not bound:
-        return 0, 0
     p = M.field.characteristic or next(_primes())
     return len(_echelon(_triangular_first(rows), p, bound)[0]), bound
 
 
-def rank(M: SparseMatrix, at_most: int | None = None) -> int:
-    """Exact rank.
-
-    With `at_most`, a promise rank M <= at_most, one capped pass
-    (capped_pass) first: over F_p its count is the rank, and over Q it
-    is the rank when the pass reaches its bound.  Otherwise the rank is
-    found by the full (over Q, certified) elimination."""
-    if at_most is not None:
-        found, bound = capped_pass(M, at_most)
-        if M.field.characteristic or found == bound:
-            return found
+def rank(M: SparseMatrix) -> int:
+    """Exact rank, by the full (over Q, certified) elimination.  A caller
+    that can promise a bound on the rank runs capped_pass instead."""
     return len(pivot_columns(M))
 
 

@@ -160,6 +160,8 @@ def heap_echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
     pivots: dict[int, dict[int, int]] = {}
     independent = []
     for src in rows:
+        if len(pivots) == stop:
+            break
         row = {c: v % p for c, v in src.items() if v % p}
         heap = list(row)
         heapify(heap)
@@ -181,6 +183,4 @@ def heap_echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
                     heappush(heap, j)
                 else:
                     row[j] = (y - v * x) % p
-        if len(pivots) == stop:
-            break
     return pivots, independent

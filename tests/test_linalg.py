@@ -8,7 +8,7 @@ from maxclass import linalg
 from maxclass.algebra import preset
 from maxclass.cochain import differential_matrix
 from maxclass.fields import QQ, PrimeField, _is_prime
-from maxclass.linalg import (CertificationError, SparseMatrix, kernel_basis, rank,
+from maxclass.linalg import (CertificationError, SparseMatrix, capped_pass, kernel_basis, rank,
                              solve_in_image)
 
 import elimination_oracle as oracle
@@ -426,16 +426,20 @@ def test_results_do_not_depend_on_row_order(case, data):
 @settings(max_examples=120, deadline=None)
 @given(permuted_matrices(), st.integers(0, 3))
 def test_capped_rank_equals_the_rank(case, extra):
-    """rank(M, at_most=b) is rank(M) for every true bound b >= rank M,
-    the tight one included, and on every row order."""
+    """The capped pass with the tight promise b = rank M reaches b, on
+    every row order; with a looser one its count is at most rank M, and
+    equal to it over F_p."""
     field, dense, perm = case
     M = dense_matrix(field, dense)
     P = SparseMatrix.from_dense(field, [dense[r] for r in perm], row_labels=list(perm))
     r = rank(M)
     assert rank(P) == r
     for X in (M, P):
-        assert rank(X, at_most=r) == r
-        assert rank(X, at_most=r + 1 + extra) == r
+        assert capped_pass(X, r) == (r, r)
+        found, bound = capped_pass(X, r + 1 + extra)
+        assert found <= r <= bound
+        if field.characteristic:
+            assert found == r
 
 
 @settings(max_examples=60, deadline=None)
@@ -449,8 +453,8 @@ def test_triangular_first_returns_every_row_once(case):
 
 
 def _zero_rows_before_the_last_pivot(M, at_most, monkeypatch):
-    """rank(M, at_most) with `_echelon` recorded: the rows its one pass
-    got that reduced to zero before the last row that gave a pivot."""
+    """capped_pass(M, at_most) with `_echelon` recorded: the rows its
+    pass got that reduced to zero before the last row that gave a pivot."""
     passes = []
     echelon = linalg._echelon
 
@@ -460,7 +464,7 @@ def _zero_rows_before_the_last_pivot(M, at_most, monkeypatch):
         return pivots, independent
 
     monkeypatch.setattr(linalg, "_echelon", recorded)
-    assert rank(M, at_most) == at_most
+    assert capped_pass(M, at_most) == (at_most, at_most)
     (rows, independent), = passes
     kept = {id(row) for row in independent}
     last = max(i for i, row in enumerate(rows) if id(row) in kept)
@@ -530,6 +534,14 @@ def sparse_integer_rows(draw, p):
             rows.append(draw(st.dictionaries(st.integers(0, ncols - 1), entry,
                                              min_size=1, max_size=5)))
     return rows, draw(st.one_of(st.none(), st.integers(0, ncols)))
+
+
+def test_echelon_stops_before_the_first_row_at_stop_zero():
+    """The stop is tested before each row is taken, so stop=0 takes none."""
+    rows = [{0: 1, 1: 2}, {1: 1}, {2: 5}]
+    assert linalg._echelon(rows, 7, 0) == ({}, [])
+    assert len(linalg._echelon(rows, 7, 1)[0]) == 1
+    assert len(linalg._echelon(rows, 7)[0]) == 3
 
 
 @pytest.mark.parametrize("p", [3, 5, 2 ** 31 - 1, next(linalg._primes())])
