@@ -203,18 +203,6 @@ def _indices(mask: int) -> Monomial:
     return tuple(out)
 
 
-class _Unsorted:
-    """The coefficient pair of an image tuple that is not strictly
-    increasing: reading it raises UnsortedImage, so a term that vanishes
-    first on an earlier index of the tuple never reads it."""
-
-    def __init__(self, message: str):
-        self.message = message
-
-    def __getitem__(self, odd):
-        raise UnsortedImage(self.message)
-
-
 class _Compiled(dict):
     """An image map over one field with its images compiled for
     `_derived_terms`: calling it gives images(i), and self[i] is the
@@ -224,8 +212,8 @@ class _Compiled(dict):
     x_1 < ... < x_r compiles to (mask, S, (v, -v)): mask = sum_j 1 << x_j
     and S = below(i) ^ below(x_1) ^ ... ^ below(x_r), with
     below(x) = (1 << x) - 1.  A zero coefficient compiles to nothing.  A
-    tuple out of order compiles to the mask of its indices before the
-    first one out of order and an `_Unsorted` pair."""
+    tuple out of order raises UnsortedImage here, whether or not any term
+    would read it."""
 
     __slots__ = ("images", "field")
 
@@ -247,15 +235,12 @@ class _Compiled(dict):
                 if x < 0:
                     raise NegativeIndex(f"image {new!r} of e^{i} has a negative index")
                 if x <= last:
-                    vs = _Unsorted(f"image {new!r} of e^{i} is not strictly increasing")
-                    break
+                    raise UnsortedImage(f"image {new!r} of e^{i} is not strictly increasing")
                 bit = 1 << x
                 mask |= bit
                 S ^= bit - 1
                 last = x
-            else:
-                vs = (v, field.neg(v))
-            out.append((mask, S, vs))
+            out.append((mask, S, (v, field.neg(v))))
         self[i] = out
         return out
 
@@ -287,9 +272,8 @@ def _derived_terms(mono, terms):
     the permutation sign of head + tuple + tail times the Koszul sign
     (-1)^(t * (r - 1)): none for an even derivation (1-tuples), (-1)^t
     for the differential (pairs) and for the interior product (the empty
-    tuple).  A tuple not strictly increasing raises UnsortedImage, unless
-    its term vanishes on an index met before the first one out of order
-    (such a term is zero in any order)."""
+    tuple).  A tuple not strictly increasing raises UnsortedImage when
+    its e^i is compiled (see `_Compiled`)."""
     mm = _mask(mono)
     for i in mono:
         base = mm ^ (1 << i)
@@ -308,8 +292,8 @@ def derive(c: Cochain, images) -> Cochain:
     `_derived_terms`.  A `_Compiled` map over the same field is used as
     it is, so a caller that passes one to many calls compiles each
     image once (as `_generator_images` does for d, and
-    `explicit._omega_sum` for D1 per expansion); a plain callable is
-    compiled for this call only."""
+    `explicit._omega_sum` and `explicit._w_sum` for D1 and D2 per
+    expansion); a plain callable is compiled for this call only."""
     f = c.field
     terms = _compiled(images, f)
     out: dict[int, object] = {}

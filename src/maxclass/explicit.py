@@ -53,19 +53,30 @@ def d1_apply(c: Cochain, floor: int = 2) -> Cochain:
     return derive(c, _d1_images(floor))
 
 
+def _d2_images(i):
+    """The images of D2 on generators: e^3 -> e^1, 0 on e^1 and e^4, and
+    e^i -> e^{i-2} otherwise."""
+    if i in (1, 4):
+        return []
+    if i == 3:
+        return [(1, (1,))]
+    return [(1, (i - 2,))]
+
+
 def d2_apply(c: Cochain) -> Cochain:
     """ad e2^* on the m2 ideal: e^3 -> e^1, e^4 -> 0, e^i -> e^{i-2}."""
-    def rule(i):
-        if i in (1, 4):
-            return []
-        if i == 3:
-            return [(1, (1,))]
-        return [(1, (i - 2,))]
-    return derive(c, rule)
+    return derive(c, _d2_images)
+
+
+def _d2_plus_d1sq(field: Field):
+    """c -> D2(c) + D1^2(c), D1 with generator floor 3, over `field`; D2
+    and D1 are compiled once for every call of the returned map."""
+    d2, d1 = _compiled(_d2_images, field), _compiled(_d1_images(3), field)
+    return lambda c: derive(c, d2) + derive(derive(c, d1), d1)
 
 
 def d2_plus_d1sq(c: Cochain) -> Cochain:
-    return d2_apply(c) + d1_apply(d1_apply(c, 3), 3)
+    return _d2_plus_d1sq(c.field)(c)
 
 
 def _check_indices(indices, floor: int) -> tuple:
@@ -184,7 +195,8 @@ def _require_odd_characteristic(field: Field):
 
 def _w_sum(indices, field: Field, floor: int, halves: int) -> Cochain:
     """sum_l omega_map((D2 + D1^2)^l(e^{i_1}^...^e^{i_q}) ^ e^{i_q+1+l} ^
-    e^{i_q+2+l}, floor) / 2^(l + halves)."""
+    e^{i_q+2+l}, floor) / 2^(l + halves); D2 and D1 are compiled once
+    for all the steps."""
     indices = _check_indices(indices, 3)
     _require_odd_characteristic(field)
     f = field
@@ -194,7 +206,7 @@ def _w_sum(indices, field: Field, floor: int, halves: int) -> Cochain:
         pair = Cochain.monomial(f, (top + 1 + l, top + 2 + l),
                                 f.from_rational(Fraction(1, 2 ** (l + halves))))
         return omega_map(wedge(x, pair), floor)
-    return _expand(Cochain.monomial(f, indices), d2_plus_d1sq, stage)
+    return _expand(Cochain.monomial(f, indices), _d2_plus_d1sq(f), stage)
 
 
 def w_cocycle(indices, field: Field = QQ) -> Cochain:

@@ -9,12 +9,13 @@ columns for kernel vectors and solutions.  Each row is reduced in a
 dense integer accumulator, reduced mod p only where an entry is read,
 with a bitmask of touched columns as the frontier (see _echelon).
 Over F_p it runs once, modulo p.  Over Q it is certified modular
-elimination: it runs modulo word-size primes, the RREF kernel vectors
-(or the solution) are rebuilt by Chinese remaindering and rational
-reconstruction, and nothing is returned before an exact integer check
-(see _certified_kernel).  A capped pass (capped_pass) stops its one
-pass at a proven bound: the caller's, or the support of M (its nonzero
-rows or its nonzero columns, whichever are fewer), if that is lower.
+elimination: it runs on every row modulo each of some word-size
+primes, the RREF kernel vectors (or the solution) are rebuilt by
+Chinese remaindering and rational reconstruction, and nothing is
+returned before an exact integer check (see _certified_kernel).  A
+capped pass (capped_pass) stops its one pass at a proven bound: the
+caller's, or the support of M (its nonzero rows or its nonzero
+columns, whichever are fewer), if that is lower.
 Over Q a pass that reaches its bound needs no check, since its count is
 certified.  That pass takes the rows in another order (see
 _triangular_first): one row for each leading column, then one for each
@@ -148,8 +149,8 @@ def _primes():
 
 def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
     """Row echelon form mod p as pivot rows keyed by pivot column (their
-    smallest column, scaled to 1), and the rows that gave a pivot; with
-    `stop`, the pass ends as soon as it has that many pivots.
+    smallest column, scaled to 1); with `stop`, the pass ends as soon as
+    it has that many pivots.
 
     Each row is reduced in a dense accumulator, a list of integers as
     wide as the matrix, and an integer bitmask of its touched columns is
@@ -162,7 +163,6 @@ def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
     acc = [0] * ncols
     pivots: dict[int, dict[int, int]] = {}     # each lacks its pivot entry 1 until the end
     masks: dict[int, int] = {}
-    independent = []
     for src in rows:
         if len(pivots) == stop:
             break
@@ -195,14 +195,13 @@ def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
                     else:
                         tail ^= low
                 masks[c] = tail
-                independent.append(src)
                 break
             for j, x in prow.items():
                 acc[j] -= v * x
             mask |= masks[c]
     for c, prow in pivots.items():
         prow[c] = 1
-    return pivots, independent
+    return pivots
 
 
 def _reduce(pivots: dict[int, dict[int, int]], p: int, free: set[int]):
@@ -255,11 +254,11 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
     with `target` a pivot, it certifies rank_Q of the other columns and
     so that `target` is outside their span.  A failed check adds a prime.
 
-    The RREF entries are ratios of minors of M, bounded by Hadamard's
-    bound H (the product of the row norms), so past a modulus of 2 H^2 a
-    correct elimination fails only at primes dividing a nonzero minor.
-    H is computed at the first failure; past 2 H^2 a failure sends the
-    next prime through all rows, and a failed all-rows prime raises.
+    Each prime is one complete elimination of all the rows.  The RREF
+    entries are ratios of minors of M, bounded by Hadamard's bound H (the
+    product of the row norms), so past a modulus of 2 H^2 a correct
+    elimination fails only at primes dividing a nonzero minor.  H is
+    computed at the first failure; past 2 H^2 a failed check raises.
     """
     columns: dict[int, list[tuple[int, int]]] = {}
     for r, row in enumerate(rows):
@@ -275,18 +274,14 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
                 acc[r] = acc.get(r, 0) + a * w
         return not any(acc.values())
 
-    # rows independent mod p are independent over Q: once a prime has set
-    # the pivots, the next ones eliminate only the rows it kept
-    best, basis, limit = None, rows, None
+    best, limit = None, None
     for p in _primes():
-        all_rows = basis is rows
-        echelon, independent = _echelon(basis, p)
+        echelon = _echelon(rows, p)
         key = (-len(echelon), sorted(echelon))
         if best is None or key < best:
             best, residues, modulus = key, {}, 1
         elif key > best:
             continue
-        basis = independent
         free = _free_columns(echelon, ncols, target)
         step = _reduce(echelon, p, set(free))
         inv = pow(modulus, -1, p)
@@ -304,13 +299,10 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
         else:
             if all(annihilated(vec) for vec in vectors.values()):
                 return key[1], list(vectors.values())
-            basis = rows
         if limit is None:
             limit = 2 * prod(sum(a * a for a in row.values()) for row in rows)
         if modulus > limit:
-            if all_rows:
-                raise CertificationError("no certificate within Hadamard's bound")
-            basis = rows
+            raise CertificationError("no certificate within Hadamard's bound")
     raise CertificationError("no prime left to certify the elimination")
 
 
@@ -373,7 +365,7 @@ def _kernel(M: SparseMatrix, rhs: dict[int, object] | None = None):
     p = M.field.characteristic
     if p == 0:
         return _certified_kernel(rows, ncols, target)
-    echelon, _ = _echelon(rows, p)
+    echelon = _echelon(rows, p)
     free = _free_columns(echelon, ncols, target)
     vectors = {f: {f: 1} for f in free}
     for (c, f), y in sorted(_reduce(echelon, p, set(free)).items()):
@@ -383,12 +375,7 @@ def _kernel(M: SparseMatrix, rhs: dict[int, object] | None = None):
 
 def pivot_columns(M: SparseMatrix) -> list[int]:
     """Pivot columns of the reduced row echelon form of M, ascending."""
-    if M.is_zero():
-        return []
-    p = M.field.characteristic
-    if p == 0:
-        return _kernel(M)[0]
-    return sorted(_echelon(_rows(M), p)[0])
+    return _kernel(M)[0]
 
 
 def capped_pass(M: SparseMatrix, at_most: int) -> tuple[int, int]:
@@ -411,7 +398,7 @@ def capped_pass(M: SparseMatrix, at_most: int) -> tuple[int, int]:
     rows = _rows(M)
     bound = min(at_most, len(rows), len(set().union(*rows)))
     p = M.field.characteristic or next(_primes())
-    return len(_echelon(_triangular_first(rows), p, bound)[0]), bound
+    return len(_echelon(_triangular_first(rows), p, bound)), bound
 
 
 def rank(M: SparseMatrix) -> int:

@@ -7,7 +7,8 @@ compared against.  All pivot on the first nonzero entry in column
 order, so results are deterministic.  `heap_echelon` is the engine's
 earlier sparse echelon, with dict rows and a heap of columns: the
 reference for the accumulator kernel, which must return the same
-pivot rows and the same independent rows.
+pivot rows.  It also returns the rows that gave a pivot, which the
+engine does not keep, for tests that ask where a pass met them.
 """
 from __future__ import annotations
 

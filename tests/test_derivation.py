@@ -121,6 +121,20 @@ def test_unsorted_image_tuple_is_refused():
         derive(c, lambda i: [(1, (4, 4))])
 
 
+def test_unsorted_image_tuple_is_refused_where_its_term_vanishes():
+    """e^1 -> e^3 ^ e^2 on e^1 ^ e^3: the term meets e^3 at once and
+    would vanish in any order, but the tuple is refused when the image
+    of e^1 is compiled."""
+    c = Cochain.monomial(QQ, (1, 3))
+
+    def images(i):
+        return [(1, (3, 2))] if i == 1 else []
+    with pytest.raises(UnsortedImage):
+        derive(c, images)
+    with pytest.raises(UnsortedImage):
+        map_matrix(QQ, [(1, 3)], [], images)
+
+
 def test_assembly_sorts_nothing_and_builds_no_cochain(monkeypatch):
     calls = {"sort_with_sign": 0, "Cochain": 0}
     sort_with_sign, init = cochain.sort_with_sign, Cochain.__init__

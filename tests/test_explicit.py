@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cup_oracle
+from maxclass import cochain, explicit
 from maxclass.algebra import preset, subalgebra
 from maxclass.cochain import Cochain, basis, cochain_text, differential, wedge
 from maxclass.cohomology import betti, is_exact
@@ -253,6 +254,20 @@ def test_w_golden():
         golden = fh.read().strip()
     assert cochain_text(w_cocycle((5,))) == golden
     assert w_cocycle((5,)) == omega((5, 6)) + omega((3, 7))
+
+
+def test_w_compiles_d2_and_d1_once_per_call(monkeypatch):
+    """_w_sum compiles D2 and D1 once for all the steps of its expansion:
+    w(3, 5, 8) compiles 70 images, 126 when every step compiled its
+    own, and the image of each e^i under D2 once."""
+    compiled = []
+    compile_ = cochain._Compiled.__missing__
+    monkeypatch.setattr(cochain._Compiled, "__missing__",
+                        lambda self, i: compiled.append((self.images, i)) or compile_(self, i))
+    w_cocycle((3, 5, 8))
+    assert len(compiled) <= 70
+    d2 = [i for images, i in compiled if images is explicit._d2_images]
+    assert d2 and len(d2) == len(set(d2))
 
 
 def test_w4_truncates():

@@ -257,6 +257,26 @@ def test_kernel_entries_beyond_one_prime(monkeypatch):
     assert solve_in_image(M, {0: a, 1: b}) == {0: Fraction(a + b, a), 1: Fraction(1)}
 
 
+def test_every_prime_eliminates_every_row(monkeypatch):
+    """The rows of test_kernel_entries_beyond_one_prime and their sum: the
+    kernel needs several primes, and each of them eliminates all three
+    rows, also the dependent one, in bottom-up order."""
+    a, b = 2 ** 41 + 15, 3 ** 27 + 2
+    dense = [[a, -b, 0], [0, b, -7 * a], [a, 0, -7 * a]]
+    M = dense_matrix(QQ, dense)
+    calls = []
+    echelon = linalg._echelon
+
+    def recorded(rows, p, stop=None):
+        calls.append(rows)
+        return echelon(rows, p, stop)
+
+    monkeypatch.setattr(linalg, "_echelon", recorded)
+    assert list(kernel_basis(M)) == oracle.kernel(dense, 3)
+    assert len(calls) >= 2
+    assert all(rows == linalg._rows(M) for rows in calls)
+
+
 def test_dropped_prime_is_not_mixed(monkeypatch):
     """The kernel entry b/a needs two primes; modulo the middle one of
     three the row vanishes.  Dropping it certifies from the other two,
@@ -280,14 +300,13 @@ def test_certification_error_when_primes_run_out(monkeypatch):
 def _echelon_replacing_pivot_rows(rows, p):
     """A defective echelon: a row whose leading column is already a pivot
     replaces that pivot row instead of being reduced by it."""
-    pivots, independent = {}, []
+    pivots = {}
     for src in rows:
         row = {c: v % p for c, v in src.items() if v % p}
         if row:
             inv = pow(row[min(row)], -1, p)
             pivots[min(row)] = {j: x * inv % p for j, x in row.items()}
-            independent.append(src)
-    return pivots, independent
+    return pivots
 
 
 def _alarm(signum, frame):
@@ -299,8 +318,8 @@ def test_defective_echelon_raises_within_hadamards_bound(call, monkeypatch):
     """Every prime gives the same wrong pivot row, so the exact check
     fails prime after prime.  The RREF entries of a correct elimination
     are bounded by the Hadamard bound H = 1 * sqrt(2) * sqrt(5), so a
-    failure of an all-rows prime once the modulus exceeds 2 H^2 must
-    raise instead of walking every prime below 2^30."""
+    failure once the modulus exceeds 2 H^2 must raise instead of walking
+    every prime below 2^30."""
     monkeypatch.setattr(linalg, "_echelon", _echelon_replacing_pivot_rows)
     M = SparseMatrix.from_dense(QQ, [[1, 0], [1, 1], [2, 1]])
     previous = signal.signal(signal.SIGALRM, _alarm)
@@ -454,19 +473,20 @@ def test_triangular_first_returns_every_row_once(case):
 
 def _zero_rows_before_the_last_pivot(M, at_most, monkeypatch):
     """capped_pass(M, at_most) with `_echelon` recorded: the rows its
-    pass got that reduced to zero before the last row that gave a pivot."""
+    pass got that reduced to zero before the last row that gave a pivot.
+    The rows that gave a pivot are those of the heap echelon on the same
+    rows, which has the same pivots."""
     passes = []
     echelon = linalg._echelon
 
     def recorded(rows, p, stop=None):
-        pivots, independent = echelon(rows, p, stop)
-        passes.append((rows, independent))
-        return pivots, independent
+        passes.append((rows, p, stop))
+        return echelon(rows, p, stop)
 
     monkeypatch.setattr(linalg, "_echelon", recorded)
     assert capped_pass(M, at_most) == (at_most, at_most)
-    (rows, independent), = passes
-    kept = {id(row) for row in independent}
+    (rows, p, stop), = passes
+    kept = {id(row) for row in oracle.heap_echelon(rows, p, stop)[1]}
     last = max(i for i, row in enumerate(rows) if id(row) in kept)
     return sum(id(row) not in kept for row in rows[:last])
 
@@ -501,18 +521,14 @@ def test_full_passes_keep_the_bottom_up_order(field, monkeypatch):
                             (lambda M: solve_in_image(M, v), linalg._rows(M, {0: field.one}))):
         calls.clear()
         call(M)
-        # the first pass (over Q the later primes take the rows it kept)
-        assert calls[0] == bottom_up
+        # every pass, over Q at every prime, takes all the rows in this order
+        assert calls and all(rows == bottom_up for rows in calls)
 
 
 # --- the accumulator kernel against the heap echelon --------------------------
 
 def _same_echelon(rows, p, stop=None):
-    pivots, independent = linalg._echelon(rows, p, stop)
-    ref_pivots, ref_independent = oracle.heap_echelon(rows, p, stop)
-    assert pivots == ref_pivots
-    assert len(independent) == len(ref_independent)
-    assert all(a is b for a, b in zip(independent, ref_independent))
+    assert linalg._echelon(rows, p, stop) == oracle.heap_echelon(rows, p, stop)[0]
 
 
 @st.composite
@@ -539,9 +555,9 @@ def sparse_integer_rows(draw, p):
 def test_echelon_stops_before_the_first_row_at_stop_zero():
     """The stop is tested before each row is taken, so stop=0 takes none."""
     rows = [{0: 1, 1: 2}, {1: 1}, {2: 5}]
-    assert linalg._echelon(rows, 7, 0) == ({}, [])
-    assert len(linalg._echelon(rows, 7, 1)[0]) == 1
-    assert len(linalg._echelon(rows, 7)[0]) == 3
+    assert linalg._echelon(rows, 7, 0) == {}
+    assert len(linalg._echelon(rows, 7, 1)) == 1
+    assert len(linalg._echelon(rows, 7)) == 3
 
 
 @pytest.mark.parametrize("p", [3, 5, 2 ** 31 - 1, next(linalg._primes())])
