@@ -4,7 +4,8 @@ This is the brute-force route: dimensions come from exact ranks of the
 differential, representatives from the reduced echelon kernel basis,
 selected by the pivots of the image.  Matrices and ranks are cached per
 (algebra, field, q, k), ranks with their capped passes, since the table
-computations reuse them heavily.
+computations reuse them heavily; so is one class basis per cell, which
+every class query reduces against.
 
 The rank of d^q_k uses the complex.  One echelon pass, modulo the
 first prime over Q, stops at a proven bound on the rank: the support of
@@ -24,12 +25,34 @@ every characteristic, so it vanishes on weight k once d d e^i = 0 for
 every generator i of weight <= k; this is checked once per generator
 over Q, and it holds over every F_p too, since d over F_p is the
 reduction mod p of d over Q.
+
+The class basis of a cell comes from two certified eliminations: the
+kernel of d^q_k and the kernel of the flipped d^{q-1}_k (its transpose
+with the monomials in reverse order).  A cocycle c is sum_g c[g] z_g
+over the free columns g of d^q_k, z_g its reduced echelon kernel
+vectors.  Those free columns are `taken`, the last monomials of
+coboundaries (the pivots of the flipped matrix), and F, the last
+monomials of the representatives z_f.  The reduced echelon row of the
+flipped matrix with pivot t is a coboundary, so it is b_t = z_t +
+sum_f b_t[f] z_f, and b_t[f] = -y_f[t] for the flipped kernel vector y_f
+on column f.  Subtracting c[t] b_t for each t leaves the class of c with
+the exact coordinates
+
+    coord_f(c) = c[f] - sum_{t in taken} c[t] b_t[f] = sum_m c[m] y_f[m].
+
+class_rank is the rank of these coordinates, and class_coordinates
+reads them off or solves a b x n system, so once the cell's basis is
+built no class query eliminates more than b + 1 columns.  is_exact
+keeps its one solve against d^{q-1}_k: the cells it is asked about
+mostly get no other class query, and a class basis there would cost two
+eliminations instead of one.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -153,6 +176,54 @@ def betti_table(alg: GradedAlgebra, qmax: int, kmax: int,
     return BettiTable(alg.name, field, entries, qmax, kmax)
 
 
+@lru_cache(maxsize=None)
+def _class_basis(alg: GradedAlgebra, field: Field, q: int, k: int):
+    """The canonical representatives z_f of H^q_k, ordered by f, and
+    their coordinate functionals y_f transposed: monomial m ->
+    [(i, y_i[m])], so that coordinate i of the class of a cocycle c is
+    sum_m c[m] y_i[m] (see the module docstring).
+
+    y_f is the reduced echelon kernel vector of the flipped d^{q-1}_k
+    (its transpose with the monomials in reverse order) on the free
+    column f: 1 at f and -b_t[f] at each pivot t, the last monomial of
+    a coboundary.  The other kernel vectors are not kept.  A zero
+    d^{q-1}_k has no pivots, so each y_f is the unit vector at f and
+    needs no elimination."""
+    mono_basis = basis(alg, q, k)
+    if not mono_basis:
+        return (), {}
+    kernel = linalg.kernel_basis(_cached_matrix(alg, field, q, k))
+    d_prev = _cached_matrix(alg, field, q - 1, k) if q > 0 else None
+    if d_prev is None or d_prev.is_zero():
+        duals = {max(z): {max(z): field.one} for z in kernel}
+    else:
+        last = len(mono_basis) - 1
+        flipped = linalg.SparseMatrix(field, d_prev.cols, d_prev.rows,
+                                      {(c, last - r): v for (r, c), v in d_prev.entries.items()},
+                                      col_labels=mono_basis[::-1])
+        # the free column of a flipped kernel vector is its first monomial
+        duals = {min(y): y for y in linalg.kernel_basis(flipped)}
+    reps = tuple(Cochain(field, z) for z in kernel if max(z) in duals)
+    functionals: dict = {}
+    for i, r in enumerate(reps):
+        for m, y in duals[max(r.terms)].items():
+            functionals.setdefault(m, []).append((i, y))
+    return reps, functionals
+
+
+def _coordinates(functionals: dict, c: Cochain) -> dict[int, object]:
+    """The nonzero class coordinates of a cocycle c, keyed by the index
+    of the representative (see _class_basis); over Q an integral one is
+    an int."""
+    f = c.field
+    out: dict[int, object] = {}
+    for m, v in c.terms.items():
+        for i, y in functionals.get(m, ()):
+            out[i] = f.add(out.get(i, f.zero), f.mul(v, y))
+    return {i: f.from_rational(x) if type(x) is Fraction else x
+            for i, x in out.items() if not f.is_zero(x)}
+
+
 def representatives(alg: GradedAlgebra, q: int, k: int,
                     field: Field = QQ) -> list[Cochain]:
     """Cocycles whose classes form a basis of H^q_k, chosen canonically.
@@ -162,26 +233,15 @@ def representatives(alg: GradedAlgebra, q: int, k: int,
     free column.  The last monomial of every coboundary is such a free
     column, so the z_f whose f is the last monomial of no coboundary
     form a basis of H^q_k, ordered by f; each is 0 on the last monomial
-    of every coboundary."""
-    mono_basis = basis(alg, q, k)
-    if not mono_basis:
-        return []
-    taken = set()
-    if q > 0:
-        # last monomials of coboundaries: the pivots of the image with the
-        # monomials in reverse order
-        d_prev = _cached_matrix(alg, field, q - 1, k)
-        last = len(mono_basis) - 1
-        flipped = linalg.SparseMatrix(field, d_prev.cols, d_prev.rows,
-                                      {(c, last - r): v for (r, c), v in d_prev.entries.items()})
-        taken = {mono_basis[last - c] for c in linalg.pivot_columns(flipped)}
-    kernel = linalg.kernel_basis(_cached_matrix(alg, field, q, k))
-    reps = [Cochain(field, vec) for vec in kernel if max(vec) not in taken]
+    of every coboundary.  They are built once per cell, with the
+    coordinates of classes in them (see the module docstring); their
+    count is compared with `betti` on every call."""
+    reps = _class_basis(alg, field, q, k)[0]
     expected = betti(alg, q, k, field)
     if len(reps) != expected:
         raise RouteMismatch(f"{len(reps)} representatives at ({q}, {k}), "
                             f"but b^{q}_{k} = {expected}")
-    return reps
+    return list(reps)
 
 
 def is_exact(alg: GradedAlgebra, c: Cochain):
@@ -200,30 +260,32 @@ def is_exact(alg: GradedAlgebra, c: Cochain):
     return True, Cochain(c.field, u)
 
 
-def _with_coboundaries(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
-                       field: Field) -> linalg.SparseMatrix:
-    """[cochains | d^{q-1}_k] on the monomial basis of C^q_k."""
-    mono_basis = basis(alg, q, k)
-    order = {m: i for i, m in enumerate(mono_basis)}
-    entries = {(order[m], j): v for j, r in enumerate(cochains) for m, v in r.terms.items()}
-    ncols = len(cochains)
-    if q > 0:
-        # the rows of d^{q-1}_k are mono_basis in the same order
-        d_prev = _cached_matrix(alg, field, q - 1, k)
-        entries.update({(r, ncols + c): v for (r, c), v in d_prev.entries.items()})
-        ncols += d_prev.cols
-    return linalg.SparseMatrix(field, len(mono_basis), ncols, entries,
-                               row_labels=mono_basis, col_labels=list(range(ncols)))
-
-
 def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
                       q: int, k: int, field: Field = QQ):
     """Coordinates of the class of a closed cochain c in the basis given
-    by reps, or None if c is not in their span modulo exact forms."""
-    sol = linalg.solve_in_image(_with_coboundaries(alg, reps, q, k, field), dict(c.terms))
+    by reps, or None if c or one of reps is not closed, or c is not in
+    their span modulo exact forms.
+
+    Every cocycle has exact coordinates in the canonical representatives
+    of the cell, coord_f(c) = c[f] - sum_t c[t] b_t[f] (see the module
+    docstring).  For the canonical representatives themselves these are
+    the answer, and they are known to be closed; other reps give the
+    b x len(reps) system of their own coordinates to solve."""
+    canonical, functionals = _class_basis(alg, field, q, k)
+    own = tuple(reps) == canonical
+    d = _cached_matrix(alg, field, q, k)
+    if any(d.apply(dict(x.terms)) for x in ([c] if own else [c, *reps])):
+        return None
+    target = _coordinates(functionals, c)
+    if own:
+        return [target.get(i, field.zero) for i in range(len(reps))]
+    M = linalg.SparseMatrix(field, len(canonical), len(reps),
+                            {(i, j): v for j, r in enumerate(reps)
+                             for i, v in _coordinates(functionals, r).items()})
+    sol = linalg.solve_in_image(M, target)
     if sol is None:
         return None
-    return [sol.get(i, field.zero) for i in range(len(reps))]
+    return [sol.get(j, field.zero) for j in range(len(reps))]
 
 
 def class_rank(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
@@ -231,15 +293,24 @@ def class_rank(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
     """Dimension of the span of the classes of cochains in H^q_k, that is
     rank [cochains | d^{q-1}_k] - rank d^{q-1}_k, or None when d^q_k does
     not kill them all.  The rank of an induced map on cohomology is the
-    class_rank of the images of the representatives of its source."""
+    class_rank of the images of the representatives of its source.
+
+    It is the rank of the n x b matrix of the cochains' coordinates in
+    the canonical representatives (see the module docstring): one pass
+    modulo the first prime over Q that stops at the bound min(n, b,
+    support), and the certified rank only if the pass misses it."""
     cochains = [c for c in cochains if not c.is_zero()]
     if not cochains:
         return 0
     d = _cached_matrix(alg, field, q, k)
     if any(d.apply(dict(c.terms)) for c in cochains):
         return None
-    coboundaries = _cached_rank(alg, field, q - 1, k) if q > 0 else 0
-    return linalg.rank(_with_coboundaries(alg, cochains, q, k, field)) - coboundaries
+    reps, functionals = _class_basis(alg, field, q, k)
+    M = linalg.SparseMatrix(field, len(cochains), len(reps),
+                            {(j, i): v for j, c in enumerate(cochains)
+                             for i, v in _coordinates(functionals, c).items()})
+    found, bound = linalg.capped_pass(M, len(reps))
+    return found if field.characteristic or found == bound else linalg.rank(M)
 
 
 def euler_characteristic(alg: GradedAlgebra, k: int, field: Field = QQ) -> int:

@@ -16,19 +16,21 @@ import json
 from functools import cache, partial
 
 from .algebra import GradedAlgebra, preset, subalgebra
-from .cochain import Cochain, derive, differential, wedge
+from .cochain import Cochain, _compiled, derive, differential, wedge
 from .cohomology import class_rank, representatives
 from .fields import QQ, Field
 
 
 class IdealSplit:
     """Parent algebra, distinguished generator index, and the ideal
-    spanned by all other generators."""
+    spanned by all other generators; adx_images holds the images of
+    adX* on generators, compiled by adx_star once per field."""
 
     def __init__(self, parent: GradedAlgebra, x_index: int):
         self.parent = parent
         self.x_index = x_index
         self.ideal = subalgebra(parent, lambda i: i != x_index)
+        self.adx_images: dict[Field, object] = {}
 
     def __repr__(self):
         return f"IdealSplit({self.parent.name}, x=e{self.x_index})"
@@ -64,14 +66,18 @@ def restrict(split: IdealSplit, f: Cochain) -> Cochain:
 
 def adx_star(split: IdealSplit, c: Cochain) -> Cochain:
     """Derivation of the ideal's complex dual to ad e_x: the e^k
-    component goes to sum_j (coefficient of e_k in [e_x, e_j]) e^j."""
+    component goes to sum_j (coefficient of e_k in [e_x, e_j]) e^j.
+    Its images are compiled once per split and field (see IdealSplit)."""
     f = c.field
-    x = split.x_index
+    images = split.adx_images.get(f)
+    if images is None:
+        x = split.x_index
 
-    def images(k):
-        j = k - x
-        coeff = split.parent.bracket(x, j) if j >= 1 and split.ideal.contains(j) else 0
-        return [(f.from_rational(coeff), (j,))] if coeff else []
+        def bracket_x(k):
+            j = k - x
+            coeff = split.parent.bracket(x, j) if j >= 1 and split.ideal.contains(j) else 0
+            return [(f.from_rational(coeff), (j,))] if coeff else []
+        images = split.adx_images[f] = _compiled(bracket_x, f)
     return derive(c, images)
 
 

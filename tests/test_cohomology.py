@@ -15,6 +15,7 @@ from maxclass.cohomology import (NotCocycle, RouteMismatch, betti, betti_table,
                                  class_coordinates, class_rank, euler_characteristic,
                                  is_exact, representatives)
 from maxclass.combinatorics import distinct_V, partitions_P
+from maxclass.dixmier import m0_split
 from maxclass.fields import QQ, PrimeField
 
 import elimination_oracle
@@ -359,10 +360,11 @@ def test_a_rank_deficient_first_prime_changes_no_betti_number(monkeypatch):
 
 
 def _clear_caches(monkeypatch):
-    """Every cache a Betti number reads: bases, compiled d e^i,
-    matrices, ranks with their passes, and the d∘d watermark."""
+    """Every cache a Betti number or a class query reads: bases,
+    compiled d e^i, matrices, ranks with their passes, class bases and
+    the d∘d watermark."""
     for cached in (cochain._basis, cochain._generator_images, cohomology._cached_matrix,
-                   cohomology._cached_rank):
+                   cohomology._cached_rank, cohomology._class_basis):
         cached.cache_clear()
     monkeypatch.setattr(cohomology, "_D_SQUARED_ZERO", {})
 
@@ -449,3 +451,148 @@ def test_fp_cells_take_one_echelon_pass(monkeypatch):
                 nonzero = bool(basis(alg, q, k)) \
                     and not cohomology._cached_matrix(alg, field, q, k).is_zero()
                 assert len(passes) - before == nonzero, (alg, q, k)
+
+
+# --- the class basis of a cell ----------------------------------------------------
+
+def test_a_zero_coboundary_map_costs_no_elimination(monkeypatch):
+    """On the m0 split's ideal, which is abelian, d = 0: representatives
+    eliminates only d^q_k, once per nonempty cell, and never the zero
+    d^{q-1}_k."""
+    ideal = m0_split().ideal
+    _clear_caches(monkeypatch)
+    calls = []
+    certified = linalg._certified_kernel
+    monkeypatch.setattr(linalg, "_certified_kernel",
+                        lambda *args: calls.append(1) or certified(*args))
+    for q in range(4):
+        for k in range(21):
+            before = len(calls)
+            assert len(representatives(ideal, q, k)) == len(basis(ideal, q, k))
+            assert len(calls) - before == bool(basis(ideal, q, k)), (q, k)
+
+
+CLASS_ALGEBRAS = [preset("m0"), preset("m2"), preset("l1"), preset("l1quot", 8),
+                  _rescaled("m2", 12, 5)]
+CLASS_CELLS = [(q, k) for q in range(1, 4) for k in range(18)]
+
+
+def _scalars(field, rng, n):
+    return [field.of(rng.randint(-2, 2)) for _ in range(n)]
+
+
+def _combination(field, coeffs, cochains):
+    out = Cochain(field)
+    for a, c in zip(coeffs, cochains):
+        out = out + c.scaled(a)
+    return out
+
+
+def _class_queries(alg, q, k, field):
+    """Seeded class queries at one cell, each with the oracle's answer:
+    (cochains, rank [cochains | d^{q-1}_k] - rank d^{q-1}_k) for
+    class_rank, and (cochain, reps, coordinates) for class_coordinates,
+    with the canonical representatives and with an invertible
+    triangular change of them shifted by coboundaries."""
+    rng = random.Random(f"{alg.key}:{field!r}:{q}:{k}")
+    reps = representatives(alg, q, k, field)
+    cobs = [d for m in basis(alg, q - 1, k)
+            if not (d := differential(alg, Cochain.monomial(field, m))).is_zero()]
+    monos = basis(alg, q, k)
+    ranks = []
+    for n in range(1, len(reps) + 3):
+        cochains = [_combination(field, _scalars(field, rng, len(reps) + len(cobs)), reps + cobs)
+                    for _ in range(n)]
+        dense = [[c.terms.get(m, 0) for c in cochains] + [d.terms.get(m, 0) for d in cobs]
+                 for m in monos]
+        ranks.append((cochains, _oracle_rank(dense, field) - _oracle_rank(
+            [row[n:] for row in dense], field)))
+    changed = [_combination(field, [field.one] * (i + 1) + _scalars(field, rng, len(cobs)),
+                            reps[:i + 1] + cobs)
+               for i in range(len(reps))]
+    coords = []
+    for basis_reps in (reps, changed):
+        a = _scalars(field, rng, len(reps))
+        c = _combination(field, a + _scalars(field, rng, len(cobs)), basis_reps + cobs)
+        coords.append((c, basis_reps, a))
+    return ranks, coords
+
+
+def _oracle_rank(dense, field):
+    """Rank by dense elimination in the test oracle, which shares no code
+    with linalg."""
+    ncols = len(dense[0]) if dense else 0
+    if field.characteristic:
+        return elimination_oracle.rref_fp([list(r) for r in dense], ncols,
+                                          field.characteristic)[0]
+    return elimination_oracle.rref_fractions([list(r) for r in dense], ncols)[0]
+
+
+def _not_closed(alg, q, k, field):
+    """A monomial of the cell with d of it nonzero, or None."""
+    return next((c for m in basis(alg, q, k)
+                 if not differential(alg, c := Cochain.monomial(field, m)).is_zero()), None)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+@pytest.mark.parametrize("alg", CLASS_ALGEBRAS, ids=[a.name for a in CLASS_ALGEBRAS])
+def test_class_queries_agree_with_the_oracle(alg, field, monkeypatch):
+    """class_rank is rank [cochains | d^{q-1}_k] - rank d^{q-1}_k by the
+    oracle, class_coordinates of sum a_i r_i + du is a, and a cochain
+    that is not closed has no coordinates.  Once a cell's class basis is
+    built, no query eliminates a matrix wider than b + 1 columns."""
+    widths = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda rows, *args: widths.append(
+        1 + max(map(max, filter(None, rows)), default=-1)) or echelon(rows, *args))
+    for q, k in CLASS_CELLS:
+        ranks, coords = _class_queries(alg, q, k, field)
+        b = betti(alg, q, k, field)
+        del widths[:]
+        for cochains, expected in ranks:
+            assert class_rank(alg, cochains, q, k, field) == expected, (q, k)
+        for c, reps, a in coords:
+            assert class_coordinates(alg, c, reps, q, k, field) == a, (q, k)
+        bad = _not_closed(alg, q, k, field)
+        if bad is not None:
+            assert class_coordinates(alg, bad, representatives(alg, q, k, field),
+                                     q, k, field) is None
+        assert max(widths, default=0) <= b + 1, (q, k)
+
+
+def test_the_rescaled_truncation_has_fractional_coboundary_coefficients():
+    """The rescaled truncation of CLASS_ALGEBRAS has cells whose b_t[f],
+    read off the flipped kernel, are not integers."""
+    alg = CLASS_ALGEBRAS[-1]
+    fractional = [(q, k) for q, k in CLASS_CELLS
+                  if any(type(y) is Fraction and y.denominator > 1
+                         for terms in cohomology._class_basis(alg, QQ, q, k)[1].values()
+                         for _, y in terms)]
+    assert fractional
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+@pytest.mark.parametrize("alg", CLASS_ALGEBRAS, ids=[a.name for a in CLASS_ALGEBRAS])
+def test_cell_order_and_cache_state_change_no_class_answer(alg, field, monkeypatch):
+    """With every cache cleared and the cells taken in shuffled order,
+    representatives, class ranks and class coordinates are the same; a
+    caller that changes its list of representatives changes no later
+    answer."""
+    def answers(cells):
+        out = {}
+        for q, k in cells:
+            reps = representatives(alg, q, k, field)
+            ranks, coords = _class_queries(alg, q, k, field)
+            out[q, k] = ([r.terms for r in reps],
+                         [class_rank(alg, cochains, q, k, field) for cochains, _ in ranks],
+                         [class_coordinates(alg, c, basis_reps, q, k, field)
+                          for c, basis_reps, _ in coords])
+            reps.clear()
+        return out
+
+    _clear_caches(monkeypatch)
+    in_order = answers(CLASS_CELLS)
+    shuffled = CLASS_CELLS[:]
+    random.Random(repr(alg)).shuffle(shuffled)
+    _clear_caches(monkeypatch)
+    assert answers(shuffled) == in_order

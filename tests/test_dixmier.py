@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from maxclass import cohomology, dixmier
+from maxclass import cochain, cohomology, dixmier
 from maxclass.algebra import preset
 from maxclass.cochain import Cochain, basis, differential, wedge
 from maxclass.dixmier import (
@@ -193,3 +193,22 @@ def test_exactness_ranks_each_class_rank_question_once(split, monkeypatch):
     monkeypatch.setattr(dixmier, "class_rank", counted)
     assert verify_exactness(split(), 3, 20).passed
     assert keys and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("split", [m0_split, m2_split])
+def test_adx_star_compiles_each_generator_once_per_split_and_field(split, monkeypatch):
+    """verify_exactness applies adX* to hundreds of representatives; the
+    image of each generator is compiled once per split and field, and
+    the report does not change."""
+    expected = verify_exactness(split(), 3, 20).to_json()
+    monkeypatch.setattr(split(), "adx_images", {})
+    compiled = []
+    missing = cochain._Compiled.__missing__
+    monkeypatch.setattr(cochain._Compiled, "__missing__",
+                        lambda self, i: compiled.append((self, i)) or missing(self, i))
+    assert verify_exactness(split(), 3, 20).to_json() == expected
+    verify_exactness(split(), 2, 10, PrimeField(3))
+    assert set(split().adx_images) == {QQ, PrimeField(3)}
+    for field, images in split().adx_images.items():
+        generators = [i for table, i in compiled if table is images]
+        assert generators and len(generators) == len(set(generators)), field
