@@ -57,7 +57,8 @@ from functools import lru_cache
 
 from . import linalg
 from .algebra import GradedAlgebra
-from .cochain import Cochain, basis, differential, differential_matrix, jacobi_defect
+from .cochain import (Cochain, FieldMismatch, basis, differential, differential_matrix,
+                     jacobi_defect)
 from .fields import QQ, Field
 
 
@@ -211,6 +212,12 @@ def _class_basis(alg: GradedAlgebra, field: Field, q: int, k: int):
     return reps, functionals
 
 
+def _check_field(field: Field, cochains) -> None:
+    """Raise FieldMismatch unless every cochain is over `field`."""
+    if any(c.field != field for c in cochains):
+        raise FieldMismatch(f"a cochain is not over {field!r}")
+
+
 def _coordinates(functionals: dict, c: Cochain) -> dict[int, object]:
     """The nonzero class coordinates of a cocycle c, keyed by the index
     of the representative (see _class_basis); over Q an integral one is
@@ -264,13 +271,15 @@ def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
                       q: int, k: int, field: Field = QQ):
     """Coordinates of the class of a closed cochain c in the basis given
     by reps, or None if c or one of reps is not closed, or c is not in
-    their span modulo exact forms.
+    their span modulo exact forms.  FieldMismatch is raised if c or one
+    of reps is not over `field`.
 
     Every cocycle has exact coordinates in the canonical representatives
     of the cell, coord_f(c) = c[f] - sum_t c[t] b_t[f] (see the module
     docstring).  For the canonical representatives themselves these are
     the answer, and they are known to be closed; other reps give the
     b x len(reps) system of their own coordinates to solve."""
+    _check_field(field, [c, *reps])
     canonical, functionals = _class_basis(alg, field, q, k)
     own = tuple(reps) == canonical
     d = _cached_matrix(alg, field, q, k)
@@ -294,11 +303,13 @@ def class_rank(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
     rank [cochains | d^{q-1}_k] - rank d^{q-1}_k, or None when d^q_k does
     not kill them all.  The rank of an induced map on cohomology is the
     class_rank of the images of the representatives of its source.
+    FieldMismatch is raised if a cochain is not over `field`.
 
     It is the rank of the n x b matrix of the cochains' coordinates in
     the canonical representatives (see the module docstring): one pass
     modulo the first prime over Q that stops at the bound min(n, b,
     support), and the certified rank only if the pass misses it."""
+    _check_field(field, cochains)
     cochains = [c for c in cochains if not c.is_zero()]
     if not cochains:
         return 0

@@ -5,14 +5,15 @@ oracle behind every cohomology dimension.  There is one elimination, in
 pure Python: a sparse row echelon form modulo a prime (rows taken
 bottom-up, latest leading column first, so that pivot rows stay short;
 pivot rows keyed by pivot column), with back substitution onto the free
-columns for kernel vectors and solutions.  Each row is reduced in a
+columns for the kernel vectors.  A solution of M u = v is read off the
+kernel of [M | v] (see solve_in_image).  Each row is reduced in a
 dense integer accumulator, reduced mod p only where an entry is read,
 with a bitmask of touched columns as the frontier (see _echelon).
 Over F_p it runs once, modulo p.  Over Q it is certified modular
 elimination: it runs on every row modulo each of some word-size
-primes, the RREF kernel vectors (or the solution) are rebuilt by
-Chinese remaindering and rational reconstruction, and nothing is
-returned before an exact integer check (see _certified_kernel).  A
+primes, every RREF kernel vector is rebuilt by Chinese remaindering
+and rational reconstruction, and nothing is returned before an exact
+integer check of each of them (see _certified_kernel).  A
 capped pass (capped_pass) stops its one pass at a proven bound: the
 caller's, or the support of M (its nonzero rows or its nonzero
 columns, whichever are fewer), if that is lower.
@@ -220,14 +221,6 @@ def _reduce(pivots: dict[int, dict[int, int]], p: int, free: set[int]):
     return {(c, f): y for c, row in reduced.items() for f, y in row.items()}
 
 
-def _free_columns(pivots, ncols: int, target: int | None) -> list[int]:
-    """The free columns whose kernel vectors are built: `target` alone
-    when it is free, else all of them."""
-    if target is not None and target not in pivots:
-        return [target]
-    return [c for c in range(ncols) if c not in pivots]
-
-
 def _rational(u: int, m: int, bound: int) -> int | Fraction | None:
     """The fraction a/b = u mod m with |a|, b <= bound, if there is one;
     an int when b = 1."""
@@ -242,17 +235,16 @@ def _rational(u: int, m: int, bound: int) -> int | Fraction | None:
     return QQ.of(r1, t1)
 
 
-def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None):
-    """Pivot columns over Q of the integer matrix with these sparse rows,
-    and its RREF kernel vectors keyed by column (see _free_columns).
+def _certified_kernel(rows: list[dict[int, int]], ncols: int):
+    """Pivot columns over Q of the integer matrix with these sparse rows
+    and ncols columns, and its RREF kernel vectors keyed by column: one
+    per free column, in column order.
 
     rank_p <= rank_Q for every prime p, so a prime with a lower rank or
     later pivots than another is dropped.  The vectors are accepted only
-    once M w = 0 holds exactly for each of them: then rank_Q <= rank_p,
-    the pivots are those over Q, and the vectors are the unique RREF
-    ones.  With `target` free, M w = 0 is M u = v for the solution u;
-    with `target` a pivot, it certifies rank_Q of the other columns and
-    so that `target` is outside their span.  A failed check adds a prime.
+    once M w = 0 holds exactly for every one of them: then rank_Q <=
+    rank_p, the pivots are those over Q, and the vectors are the unique
+    RREF ones.  A failed check adds a prime.
 
     Each prime is one complete elimination of all the rows.  The RREF
     entries are ratios of minors of M, bounded by Hadamard's bound H (the
@@ -282,7 +274,7 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
             best, residues, modulus = key, {}, 1
         elif key > best:
             continue
-        free = _free_columns(echelon, ncols, target)
+        free = [c for c in range(ncols) if c not in echelon]
         step = _reduce(echelon, p, set(free))
         inv = pow(modulus, -1, p)
         for entry in residues.keys() | step.keys():
@@ -306,18 +298,16 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int, target: int | None
     raise CertificationError("no prime left to certify the elimination")
 
 
-def _rows(M: SparseMatrix, rhs: dict[int, object] | None = None) -> list[dict[int, int]]:
-    """The nonzero rows of M, or of [M | rhs] with rhs keyed by row index,
-    as integer maps keyed by column; over Q each row is scaled by the lcm
-    of its denominators.  Bottom-up order: the latest leading (smallest)
-    column first, the later row first on ties.  A pivot row then has few
-    columns to the right of its pivot, and the rows with early leading
-    columns come last and are reduced by short pivot rows."""
+def _rows(M: SparseMatrix) -> list[dict[int, int]]:
+    """The nonzero rows of M as integer maps keyed by column; over Q each
+    row is scaled by the lcm of its denominators.  Bottom-up order: the
+    latest leading (smallest) column first, the later row first on ties.
+    A pivot row then has few columns to the right of its pivot, and the
+    rows with early leading columns come last and are reduced by short
+    pivot rows."""
     by_row: dict[int, dict[int, object]] = {}
     for (r, c), v in M.entries.items():
         by_row.setdefault(r, {})[c] = v
-    for r, v in (rhs or {}).items():
-        by_row.setdefault(r, {})[M.cols] = v
     order = sorted(by_row, key=lambda r: (min(by_row[r]), r), reverse=True)
     rows = [by_row[r] for r in order]
     if M.field.characteristic == 0:
@@ -356,17 +346,15 @@ def _triangular_first(rows: list[dict[int, int]]) -> list[dict[int, int]]:
     return leading + last + rest
 
 
-def _kernel(M: SparseMatrix, rhs: dict[int, object] | None = None):
-    """Pivot columns and RREF kernel vectors, keyed by column index, of M,
-    or of [M | rhs] with rhs keyed by row index; with rhs, only the
-    vector of the rhs column is built when that column is free."""
-    ncols, target = (M.cols, None) if rhs is None else (M.cols + 1, M.cols)
-    rows = _rows(M, rhs)
+def _kernel(M: SparseMatrix):
+    """Pivot columns of M and its RREF kernel vectors keyed by column
+    index, one per free column, in column order; over Q certified."""
+    rows = _rows(M)
     p = M.field.characteristic
     if p == 0:
-        return _certified_kernel(rows, ncols, target)
+        return _certified_kernel(rows, M.cols)
     echelon = _echelon(rows, p)
-    free = _free_columns(echelon, ncols, target)
+    free = [c for c in range(M.cols) if c not in echelon]
     vectors = {f: {f: 1} for f in free}
     for (c, f), y in sorted(_reduce(echelon, p, set(free)).items()):
         vectors[f][c] = p - y
@@ -415,17 +403,20 @@ def kernel_basis(M: SparseMatrix) -> list[dict]:
 
 
 def solve_in_image(M: SparseMatrix, v: dict):
-    """Some u with M u = v, or None when v is outside the image."""
+    """Some u with M u = v, or None when v is outside the image, that
+    is, when the last column of [M | v] is a pivot.  Otherwise u is minus
+    the RREF kernel vector on that column, the last one, without its last
+    entry: the solution that is zero on the free columns of M."""
     f = M.field
     row_index = {lbl: r for r, lbl in enumerate(M.row_labels)}
-    rhs: dict[int, object] = {}
+    entries = dict(M.entries)
     for lbl, val in v.items():
         if f.is_zero(val):
             continue
         if lbl not in row_index:
             raise DimensionMismatch(f"unknown row label {lbl!r}")
-        rhs[row_index[lbl]] = val
-    pivots, vectors = _kernel(M, rhs)
+        entries[(row_index[lbl], M.cols)] = val
+    pivots, vectors = _kernel(SparseMatrix._of_nonzero(f, M.rows, M.cols + 1, entries))
     if M.cols in pivots:
         return None
-    return {M.col_labels[c]: f.neg(x) for c, x in vectors[0].items() if c != M.cols}
+    return {M.col_labels[c]: f.neg(x) for c, x in vectors[-1].items() if c != M.cols}

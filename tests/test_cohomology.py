@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from maxclass import cochain, cohomology, linalg
 from maxclass.algebra import (GradedAlgebra, _m0_rule, load_custom, preset, subalgebra,
                               validate)
-from maxclass.cochain import Cochain, basis, differential
+from maxclass.cochain import Cochain, FieldMismatch, basis, differential
 from maxclass.cohomology import (NotCocycle, RouteMismatch, betti, betti_table,
                                  class_coordinates, class_rank, euler_characteristic,
                                  is_exact, representatives)
@@ -113,6 +113,47 @@ def test_is_exact_witness():
     with pytest.raises(NotCocycle):
         # d(e2^e5) = e1^e2^e4 is nonzero
         is_exact(m0, Cochain.monomial(QQ, (2, 5)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+@pytest.mark.parametrize("name, q, k", [("m0", 4, 36), ("m2", 4, 36), ("l1", 4, 40)])
+def test_is_exact_on_wide_cells(name, q, k, field):
+    """The widest cells of the exactness queries: d u of a seeded u has a
+    primitive u' with d u' = d u, and a representative plus d u is not
+    exact.  H^4_40(l1) is 0 over Q, so there is no representative there."""
+    alg = preset(name)
+    rng = random.Random(f"{name}:{field!r}:{q}:{k}")
+    u = Cochain(field, {m: field.of(rng.randint(1, 4))
+                        for m in rng.sample(basis(alg, q - 1, k), 6)})
+    du = differential(alg, u)
+    assert not du.is_zero()
+    exact, primitive = is_exact(alg, du)
+    assert exact and differential(alg, primitive) == du
+    if (name, field) != ("l1", QQ):
+        reps = representatives(alg, q, k, field)
+        assert is_exact(alg, reps[0] + du) == (False, None)
+
+
+def test_class_queries_refuse_cochains_over_another_field():
+    """A cochain over another field than the query's raised nothing: a
+    closed one over F5 read as not closed over Q, and Q cochains were
+    read as F5 residues."""
+    m0, f5 = preset("m0"), PrimeField(5)
+    reps = representatives(m0, 3, 12, f5)
+    c = reps[0].scaled(f5.of(3))
+    with pytest.raises(FieldMismatch):
+        class_coordinates(m0, c, reps, 3, 12)
+    with pytest.raises(FieldMismatch):
+        class_rank(m0, [c], 3, 12)
+    with pytest.raises(FieldMismatch):
+        class_rank(m0, [Cochain(f5)], 3, 12)
+    rationals = representatives(m0, 3, 12)
+    with pytest.raises(FieldMismatch):
+        class_coordinates(m0, rationals[0].scaled(QQ.of(3)), rationals, 3, 12, field=f5)
+    with pytest.raises(FieldMismatch):
+        class_coordinates(m0, rationals[0], reps, 3, 12)
+    assert class_coordinates(m0, c, reps, 3, 12, field=f5) == [f5.of(3)]
+    assert class_rank(m0, [c], 3, 12, field=f5) == 1
 
 
 def test_class_coordinates():

@@ -313,13 +313,24 @@ def _alarm(signum, frame):
     raise TimeoutError("the certified elimination did not end")
 
 
-@pytest.mark.parametrize("call", [rank, kernel_basis])
+def solve_in_the_image(M):
+    return solve_in_image(M, {0: 1, 1: 2, 2: 3})
+
+
+def solve_outside_the_image(M):
+    return solve_in_image(M, {0: 1})
+
+
+@pytest.mark.parametrize("call", [rank, kernel_basis, solve_in_the_image,
+                                  solve_outside_the_image])
 def test_defective_echelon_raises_within_hadamards_bound(call, monkeypatch):
     """Every prime gives the same wrong pivot row, so the exact check
     fails prime after prime.  The RREF entries of a correct elimination
-    are bounded by the Hadamard bound H = 1 * sqrt(2) * sqrt(5), so a
-    failure once the modulus exceeds 2 H^2 must raise instead of walking
-    every prime below 2^30."""
+    are bounded by the Hadamard bound, here H = 1 * sqrt(2) * sqrt(5)
+    (for a solve, that of [M | v]), so a failure once the modulus
+    exceeds 2 H^2 must raise instead of walking every prime below 2^30.
+    A solve eliminates [M | v] and checks each of its kernel vectors,
+    whether v = M (1, 1) is in the image or e_0 is not."""
     monkeypatch.setattr(linalg, "_echelon", _echelon_replacing_pivot_rows)
     M = SparseMatrix.from_dense(QQ, [[1, 0], [1, 1], [2, 1]])
     previous = signal.signal(signal.SIGALRM, _alarm)
@@ -508,6 +519,7 @@ def test_full_passes_keep_the_bottom_up_order(field, monkeypatch):
     row, and there the regrouping would only add fill-in."""
     M = differential_matrix(preset("l1"), 3, 30, field)
     v = {M.row_labels[0]: field.one}
+    augmented = SparseMatrix(field, M.rows, M.cols + 1, {**M.entries, (0, M.cols): field.one})
     calls = []
     echelon = linalg._echelon
 
@@ -518,7 +530,7 @@ def test_full_passes_keep_the_bottom_up_order(field, monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", recorded)
     for call, bottom_up in ((linalg.pivot_columns, linalg._rows(M)),
                             (kernel_basis, linalg._rows(M)), (rank, linalg._rows(M)),
-                            (lambda M: solve_in_image(M, v), linalg._rows(M, {0: field.one}))):
+                            (lambda M: solve_in_image(M, v), linalg._rows(augmented))):
         calls.clear()
         call(M)
         # every pass, over Q at every prime, takes all the rows in this order
