@@ -65,6 +65,14 @@ class Cochain:
         self.terms = {m: c for m, c in (terms or {}).items() if not field.is_zero(c)}
 
     @classmethod
+    def _of_nonzero(cls, field: Field, terms: dict[Monomial, object]) -> "Cochain":
+        """A cochain that keeps `terms` as it is: the caller has written
+        no zero coefficient, so none is filtered out."""
+        c = cls(field)
+        c.terms = terms
+        return c
+
+    @classmethod
     def monomial(cls, field: Field, indices, coeff=None):
         srt = sort_with_sign(indices)
         if srt is None:
@@ -293,7 +301,9 @@ def derive(c: Cochain, images) -> Cochain:
     it is, so a caller that passes one to many calls compiles each
     image once (as `_generator_images` does for d, and
     `explicit._omega_sum` and `explicit._w_sum` for D1 and D2 per
-    expansion); a plain callable is compiled for this call only."""
+    expansion); a plain callable is compiled for this call only.  A sum
+    that cancels is dropped where it arises, and a product of nonzero
+    field elements is nonzero, so the result keeps its terms unfiltered."""
     f = c.field
     terms = _compiled(images, f)
     out: dict[int, object] = {}
@@ -307,7 +317,7 @@ def derive(c: Cochain, images) -> Cochain:
                     del out[m]
                     continue
             out[m] = term
-    return Cochain(f, {_indices(m): v for m, v in out.items()})
+    return Cochain._of_nonzero(f, {_indices(m): v for m, v in out.items()})
 
 
 def map_matrix(field: Field, source, target, images) -> SparseMatrix:

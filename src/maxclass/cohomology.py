@@ -26,9 +26,11 @@ every generator i of weight <= k; this is checked once per generator
 over Q, and it holds over every F_p too, since d over F_p is the
 reduction mod p of d over Q.
 
-The class basis of a cell comes from two certified eliminations: the
-kernel of d^q_k and the kernel of the flipped d^{q-1}_k (its transpose
-with the monomials in reverse order).  A cocycle c is sum_g c[g] z_g
+A cell with b^q_k = 0 has the empty class basis, read off `betti`
+with no elimination.  Any other cell's class basis comes from two
+certified eliminations: the kernel of d^q_k and the kernel of the
+flipped d^{q-1}_k (its transpose with the monomials in reverse order);
+a zero matrix among them is not eliminated.  A cocycle c is sum_g c[g] z_g
 over the free columns g of d^q_k, z_g its reduced echelon kernel
 vectors.  Those free columns are `taken`, the last monomials of
 coboundaries (the pivots of the flipped matrix), and F, the last
@@ -187,23 +189,23 @@ def _class_basis(alg: GradedAlgebra, field: Field, q: int, k: int):
     y_f is the reduced echelon kernel vector of the flipped d^{q-1}_k
     (its transpose with the monomials in reverse order) on the free
     column f: 1 at f and -b_t[f] at each pivot t, the last monomial of
-    a coboundary.  The other kernel vectors are not kept.  A zero
-    d^{q-1}_k has no pivots, so each y_f is the unit vector at f and
-    needs no elimination."""
-    mono_basis = basis(alg, q, k)
-    if not mono_basis:
+    a coboundary.  The other kernel vectors are not kept.
+
+    A cell with b^q_k = 0 has no representative and no coordinate, so
+    it is answered from `betti` with no elimination; a zero d^q_k or
+    d^{q-1}_k (d^{-1}_k is the map from the empty C^{-1}_k) has unit
+    kernel vectors, which linalg builds without eliminating."""
+    if not betti(alg, q, k, field):
         return (), {}
+    mono_basis = basis(alg, q, k)
     kernel = linalg.kernel_basis(_cached_matrix(alg, field, q, k))
-    d_prev = _cached_matrix(alg, field, q - 1, k) if q > 0 else None
-    if d_prev is None or d_prev.is_zero():
-        duals = {max(z): {max(z): field.one} for z in kernel}
-    else:
-        last = len(mono_basis) - 1
-        flipped = linalg.SparseMatrix(field, d_prev.cols, d_prev.rows,
-                                      {(c, last - r): v for (r, c), v in d_prev.entries.items()},
-                                      col_labels=mono_basis[::-1])
-        # the free column of a flipped kernel vector is its first monomial
-        duals = {min(y): y for y in linalg.kernel_basis(flipped)}
+    d_prev = _cached_matrix(alg, field, q - 1, k)
+    last = len(mono_basis) - 1
+    flipped = linalg.SparseMatrix(field, d_prev.cols, d_prev.rows,
+                                  {(c, last - r): v for (r, c), v in d_prev.entries.items()},
+                                  col_labels=mono_basis[::-1])
+    # the free column of a flipped kernel vector is its first monomial
+    duals = {min(y): y for y in linalg.kernel_basis(flipped)}
     reps = tuple(Cochain(field, z) for z in kernel if max(z) in duals)
     functionals: dict = {}
     for i, r in enumerate(reps):
@@ -241,8 +243,11 @@ def representatives(alg: GradedAlgebra, q: int, k: int,
     column, so the z_f whose f is the last monomial of no coboundary
     form a basis of H^q_k, ordered by f; each is 0 on the last monomial
     of every coboundary.  They are built once per cell, with the
-    coordinates of classes in them (see the module docstring); their
-    count is compared with `betti` on every call."""
+    coordinates of classes in them (see the module docstring), and
+    their count is compared with `betti` on every call.  A cell where
+    `betti` is 0 builds none, so there the count is `betti`'s alone;
+    the long exact sequences of `dixmier` and the Hodge kernels of
+    `laplacian` check it by other routes."""
     reps = _class_basis(alg, field, q, k)[0]
     expected = betti(alg, q, k, field)
     if len(reps) != expected:
@@ -283,7 +288,7 @@ def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
     canonical, functionals = _class_basis(alg, field, q, k)
     own = tuple(reps) == canonical
     d = _cached_matrix(alg, field, q, k)
-    if any(d.apply(dict(x.terms)) for x in ([c] if own else [c, *reps])):
+    if any(d.apply(x.terms) for x in ([c] if own else [c, *reps])):
         return None
     target = _coordinates(functionals, c)
     if own:
@@ -314,7 +319,7 @@ def class_rank(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
     if not cochains:
         return 0
     d = _cached_matrix(alg, field, q, k)
-    if any(d.apply(dict(c.terms)) for c in cochains):
+    if any(d.apply(c.terms) for c in cochains):
         return None
     reps, functionals = _class_basis(alg, field, q, k)
     M = linalg.SparseMatrix(field, len(cochains), len(reps),

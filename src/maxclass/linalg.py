@@ -27,6 +27,7 @@ meets every row anyway, and there the new order would only add fill-in.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import gcd, isqrt, lcm, prod
 
@@ -106,20 +107,32 @@ class SparseMatrix:
         return SparseMatrix._of_nonzero(f, self.rows, other.cols, entries,
                                         row_labels=self.row_labels, col_labels=other.col_labels)
 
-    def apply(self, vec: dict) -> dict:
-        """Matrix times a coefficient map keyed by column labels."""
-        f = self.field
-        col_index = {lbl: c for c, lbl in enumerate(self.col_labels)}
-        dense_v = [f.zero] * self.cols
-        for lbl, v in vec.items():
-            if lbl not in col_index:
-                raise DimensionMismatch(f"unknown column label {lbl!r}")
-            dense_v[col_index[lbl]] = v
-        out: dict = {}
+    @cached_property
+    def _columns(self) -> dict:
+        """Column label -> (row label, entry, row label, entry, ...),
+        built on first use; flat tuples keep it small."""
+        by_col: list[list] = [[] for _ in range(self.cols)]
         for (r, c), m in self.entries.items():
-            if not f.is_zero(dense_v[c]):
-                lbl = self.row_labels[r]
-                out[lbl] = f.add(out.get(lbl, f.zero), f.mul(m, dense_v[c]))
+            by_col[c] += (self.row_labels[r], m)
+        return {lbl: tuple(by_col[c]) for c, lbl in enumerate(self.col_labels)}
+
+    def apply(self, vec: dict) -> dict:
+        """Matrix times a coefficient map keyed by column labels.  Only
+        the columns in the vector's support are read, through a column
+        view built once per matrix on the first call; so `entries` must
+        not change after construction."""
+        f = self.field
+        columns = self._columns
+        out: dict = {}
+        for lbl, v in vec.items():
+            column = columns.get(lbl)
+            if column is None:
+                raise DimensionMismatch(f"unknown column label {lbl!r}")
+            if f.is_zero(v):
+                continue
+            pairs = iter(column)
+            for row, m in zip(pairs, pairs):
+                out[row] = f.add(out.get(row, f.zero), f.mul(m, v))
         return {lbl: v for lbl, v in out.items() if not f.is_zero(v)}
 
     def is_zero(self) -> bool:
@@ -348,7 +361,10 @@ def _triangular_first(rows: list[dict[int, int]]) -> list[dict[int, int]]:
 
 def _kernel(M: SparseMatrix):
     """Pivot columns of M and its RREF kernel vectors keyed by column
-    index, one per free column, in column order; over Q certified."""
+    index, one per free column, in column order; over Q certified.  A
+    matrix with no entries has no pivots and is not eliminated."""
+    if M.is_zero():
+        return [], [{c: 1} for c in range(M.cols)]
     rows = _rows(M)
     p = M.field.characteristic
     if p == 0:

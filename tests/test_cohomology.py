@@ -498,8 +498,8 @@ def test_fp_cells_take_one_echelon_pass(monkeypatch):
 
 def test_a_zero_coboundary_map_costs_no_elimination(monkeypatch):
     """On the m0 split's ideal, which is abelian, d = 0: representatives
-    eliminates only d^q_k, once per nonempty cell, and never the zero
-    d^{q-1}_k."""
+    eliminates neither the zero d^q_k nor the zero d^{q-1}_k, on any
+    cell."""
     ideal = m0_split().ideal
     _clear_caches(monkeypatch)
     calls = []
@@ -508,9 +508,50 @@ def test_a_zero_coboundary_map_costs_no_elimination(monkeypatch):
                         lambda *args: calls.append(1) or certified(*args))
     for q in range(4):
         for k in range(21):
-            before = len(calls)
             assert len(representatives(ideal, q, k)) == len(basis(ideal, q, k))
-            assert len(calls) - before == bool(basis(ideal, q, k)), (q, k)
+            assert not calls, (q, k)
+
+
+def test_a_cell_without_classes_builds_no_class_basis(monkeypatch):
+    """Once betti has found H^4_40(l1) = 0, representatives answers with
+    no certified elimination."""
+    l1 = preset("l1")
+    _clear_caches(monkeypatch)
+    assert betti(l1, 4, 40) == 0
+    calls = []
+    certified = linalg._certified_kernel
+    monkeypatch.setattr(linalg, "_certified_kernel",
+                        lambda *args: calls.append(1) or certified(*args))
+    assert representatives(l1, 4, 40) == []
+    assert not calls
+
+
+def test_an_understated_betti_number_is_caught_by_other_routes(monkeypatch):
+    """representatives builds no class basis where betti reads 0, so it
+    takes an understated b^2_5(m0) = 0 (it is 1) on trust; the long
+    exact sequence of the m0 split and the Hodge kernel refuse it."""
+    from maxclass import laplacian
+    from maxclass.dixmier import verify_exactness
+
+    m0 = preset("m0")
+    true_betti = cohomology.betti
+
+    def understated(alg, q, k, field=QQ):
+        return 0 if (alg, q, k) == (m0, 2, 5) else true_betti(alg, q, k, field)
+
+    assert true_betti(m0, 2, 5) == 1
+    _clear_caches(monkeypatch)
+    monkeypatch.setattr(cohomology, "betti", understated)
+    monkeypatch.setattr(laplacian, "betti", understated)
+    try:
+        assert representatives(m0, 2, 5) == []
+        report = verify_exactness(m0_split(), 3, 8)
+        assert not report.passed and report.first_failure["node"] == "H^2_5(b)"
+        with pytest.raises(RouteMismatch):
+            laplacian.harmonic_basis(m0, 2, 5)
+    finally:
+        # the empty class basis of (2, 5) is cached under the true betti too
+        cohomology._class_basis.cache_clear()
 
 
 CLASS_ALGEBRAS = [preset("m0"), preset("m2"), preset("l1"), preset("l1quot", 8),
@@ -599,6 +640,35 @@ def test_class_queries_agree_with_the_oracle(alg, field, monkeypatch):
             assert class_coordinates(alg, bad, representatives(alg, q, k, field),
                                      q, k, field) is None
         assert max(widths, default=0) <= b + 1, (q, k)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+@pytest.mark.parametrize("alg", CLASS_ALGEBRAS, ids=[a.name for a in CLASS_ALGEBRAS])
+def test_cells_without_classes_eliminate_nothing(alg, field, monkeypatch):
+    """Once betti has found b^q_k = 0, representatives and every class
+    query at that cell answer as the oracle does, with no certified
+    kernel and no echelon pass of a nonempty matrix."""
+    _clear_caches(monkeypatch)
+    eliminations = []
+    certified, echelon = linalg._certified_kernel, linalg._echelon
+    monkeypatch.setattr(linalg, "_certified_kernel",
+                        lambda *args: eliminations.append(args) or certified(*args))
+    monkeypatch.setattr(linalg, "_echelon", lambda rows, *args: (
+        rows and eliminations.append(rows)) or echelon(rows, *args))
+    empty = [(q, k) for q, k in CLASS_CELLS if basis(alg, q, k) and not betti(alg, q, k, field)]
+    assert empty
+    del eliminations[:]
+    for q, k in empty:
+        ranks, coords = _class_queries(alg, q, k, field)
+        for cochains, expected in ranks:
+            assert class_rank(alg, cochains, q, k, field) == expected, (q, k)
+        for c, reps, a in coords:
+            assert class_coordinates(alg, c, reps, q, k, field) == a, (q, k)
+        bad = _not_closed(alg, q, k, field)
+        if bad is not None:
+            assert class_coordinates(alg, bad, [], q, k, field) is None
+            assert class_rank(alg, [bad], q, k, field) is None
+        assert not eliminations, (q, k)
 
 
 def test_the_rescaled_truncation_has_fractional_coboundary_coefficients():

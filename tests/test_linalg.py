@@ -74,6 +74,36 @@ def test_transpose_and_matmul():
     assert N.to_dense()[1][1] == Fraction(20)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(5)]), st.data())
+def test_apply_equals_the_dense_product(field, data):
+    """apply is the dense product on vectors with zero coefficients, on
+    a labelled matrix and on its transpose (whose column labels are the
+    matrix's row labels); calls repeated on one matrix agree, and a
+    label outside the columns raises DimensionMismatch."""
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    dense = [[field.of(data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 3)))
+              for _ in range(n)] for _ in range(m)]
+    M = SparseMatrix.from_dense(field, dense, row_labels=[(r, "row") for r in range(m)],
+                                col_labels=[(c, "col") for c in range(n)])
+    for A, rows in ((M, dense), (M.transpose(), [list(col) for col in zip(*dense)])):
+        vectors = [{A.col_labels[c]: field.of(data.draw(st.integers(-2, 2)))
+                    for c in data.draw(st.sets(st.integers(0, A.cols - 1)))}
+                   for _ in range(3)]
+        for vec in vectors + vectors[:1]:
+            expected = {}
+            for r, row in enumerate(rows):
+                x = field.zero
+                for c, a in enumerate(row):
+                    x = field.add(x, field.mul(a, vec.get(A.col_labels[c], field.zero)))
+                if not field.is_zero(x):
+                    expected[A.row_labels[r]] = x
+            assert A.apply(vec) == expected
+        for unknown in ({(n, "col"): field.one}, {(m, "row"): field.zero}):
+            with pytest.raises(linalg.DimensionMismatch):
+                A.apply(unknown)
+
+
 @pytest.mark.parametrize("field, zeros", [(QQ, [0, Fraction(0)]),
                                           (PrimeField(7), [0, 7, -14])], ids=repr)
 def test_constructor_drops_zero_entries(field, zeros):
