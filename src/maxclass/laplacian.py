@@ -3,8 +3,13 @@
 With d* the transpose of the differential matrix, the kernel of
 d d* + d* d on Lambda^q_k realizes the cohomology of that cell, giving
 a third route to the Betti numbers (after elimination ranks and the
-closed-form counts).  Rational field only: the orthonormal pairing has
-no meaning over F_p.
+closed-form counts).  The Laplacian is A^T A, with A the matrix D_q
+stacked over D_{q-1}^T, and its kernel is taken of A itself: over Q the
+monomial pairing is positive definite, so A^T A c = 0 gives
+<Ac, Ac> = 0 and A c = 0, and ker A^T A = ker A.  The reduced echelon
+basis of a subspace is unique, so the harmonic vectors are the same
+either way.  Rational field only: the orthonormal pairing has no
+meaning over F_p.
 """
 from __future__ import annotations
 
@@ -24,10 +29,10 @@ class ShapeMismatch(ValueError):
     """Form is neither e^1 ^ xi nor free of e^1."""
 
 
-def laplacian_matrix(alg: GradedAlgebra, q: int, k: int,
-                     field: Field = QQ) -> linalg.SparseMatrix:
-    """D_q^T D_q + D_{q-1} D_{q-1}^T on the monomial basis of Lambda^q_k,
-    as A^T A with A the matrix D_q stacked over D_{q-1}^T."""
+def _stacked(alg: GradedAlgebra, q: int, k: int, field: Field) -> linalg.SparseMatrix:
+    """A, the matrix D_q stacked over D_{q-1}^T on the monomial basis of
+    Lambda^q_k, so that the Laplacian of the cell is A^T A.  Its rows are
+    integers: first those of D_q, then one per monomial of Lambda^{q-1}_k."""
     if field.characteristic != 0:
         raise FieldNotOrdered("Hodge pairing requires characteristic zero")
     d_q = _cached_matrix(alg, field, q, k)
@@ -36,24 +41,24 @@ def laplacian_matrix(alg: GradedAlgebra, q: int, k: int,
         d_prev = _cached_matrix(alg, field, q - 1, k)
         entries.update({(rows + c, r): v for (r, c), v in d_prev.entries.items()})
         rows += d_prev.cols
-    A = linalg.SparseMatrix(field, rows, d_q.cols, entries, col_labels=d_q.col_labels)
-    return A.transpose().matmul(A)
+    return linalg.SparseMatrix._of_nonzero(field, rows, d_q.cols, entries,
+                                           col_labels=d_q.col_labels)
 
 
 def laplacian_apply(alg: GradedAlgebra, c: Cochain) -> Cochain:
+    """D_q^T D_q c + D_{q-1} D_{q-1}^T c, as A^T (A c)."""
     if c.is_zero():
         return Cochain(c.field)
     q, k = c.bidegree()
-    M = laplacian_matrix(alg, q, k, c.field)
-    return Cochain(c.field, M.apply(dict(c.terms)))
+    A = _stacked(alg, q, k, c.field)
+    return Cochain(c.field, A.transpose().apply(A.apply(c.terms)))
 
 
 def harmonic_basis(alg: GradedAlgebra, q: int, k: int,
                    field: Field = QQ) -> list[Cochain]:
-    """Kernel basis of the Laplacian cell; one vector per Betti unit."""
-    M = laplacian_matrix(alg, q, k, field)
-    vectors = linalg.kernel_basis(M)
-    out = [Cochain(field, v) for v in vectors]
+    """Kernel basis of the Laplacian cell, in reduced echelon form; one
+    vector per Betti unit, or RouteMismatch."""
+    out = [Cochain(field, v) for v in linalg.kernel_basis(_stacked(alg, q, k, field))]
     expected = betti(alg, q, k, field)
     if len(out) != expected:
         raise RouteMismatch(f"{len(out)} harmonic forms at ({q}, {k}), "

@@ -41,7 +41,9 @@ class DimensionMismatch(ValueError):
 
 
 class SparseMatrix:
-    """Exact matrix with optional monomial row/column labels."""
+    """Exact sparse matrix, a map (row, column) -> nonzero entry, with
+    optional monomial row/column labels.  It is eliminated (rank,
+    kernel_basis, solve_in_image), transposed and applied to a vector."""
 
     def __init__(self, field: Field, rows: int, cols: int,
                  entries: dict[tuple[int, int], object] | None = None,
@@ -65,47 +67,10 @@ class SparseMatrix:
         M.entries = entries
         return M
 
-    @classmethod
-    def from_dense(cls, field: Field, dense, row_labels=None, col_labels=None):
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = {(r, c): dense[r][c] for r in range(rows) for c in range(cols)
-                   if not field.is_zero(dense[r][c])}
-        return cls._of_nonzero(field, rows, cols, entries, row_labels, col_labels)
-
-    def to_dense(self) -> list[list[object]]:
-        zero = self.field.zero
-        dense = [[zero] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
-
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix._of_nonzero(self.field, self.cols, self.rows,
                                         {(c, r): v for (r, c), v in self.entries.items()},
                                         row_labels=self.col_labels, col_labels=self.row_labels)
-
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions differ")
-        f = self.field
-        by_row: dict[int, dict[int, object]] = {}
-        for (r, c), v in self.entries.items():
-            by_row.setdefault(r, {})[c] = v
-        other_by_row: dict[int, dict[int, object]] = {}
-        for (r, c), v in other.entries.items():
-            other_by_row.setdefault(r, {})[c] = v
-        entries: dict[tuple[int, int], object] = {}
-        for r, row in by_row.items():
-            acc: dict[int, object] = {}
-            for mid, v in row.items():
-                for c, w in other_by_row.get(mid, {}).items():
-                    acc[c] = f.add(acc.get(c, f.zero), f.mul(v, w))
-            for c, v in acc.items():
-                if not f.is_zero(v):
-                    entries[(r, c)] = v
-        return SparseMatrix._of_nonzero(f, self.rows, other.cols, entries,
-                                        row_labels=self.row_labels, col_labels=other.col_labels)
 
     @cached_property
     def _columns(self) -> dict:
@@ -377,11 +342,6 @@ def _kernel(M: SparseMatrix):
     return sorted(echelon), list(vectors.values())
 
 
-def pivot_columns(M: SparseMatrix) -> list[int]:
-    """Pivot columns of the reduced row echelon form of M, ascending."""
-    return _kernel(M)[0]
-
-
 def capped_pass(M: SparseMatrix, at_most: int) -> tuple[int, int]:
     """One echelon pass of M, modulo p over F_p and modulo the first prime
     over Q, that stops at its b-th pivot: (its pivot count, b).
@@ -406,9 +366,10 @@ def capped_pass(M: SparseMatrix, at_most: int) -> tuple[int, int]:
 
 
 def rank(M: SparseMatrix) -> int:
-    """Exact rank, by the full (over Q, certified) elimination.  A caller
-    that can promise a bound on the rank runs capped_pass instead."""
-    return len(pivot_columns(M))
+    """Exact rank, the number of pivot columns of the full (over Q,
+    certified) elimination.  A caller that can promise a bound on the
+    rank runs capped_pass instead."""
+    return len(_kernel(M)[0])
 
 
 def kernel_basis(M: SparseMatrix) -> list[dict]:

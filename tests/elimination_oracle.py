@@ -9,12 +9,32 @@ earlier sparse echelon, with dict rows and a heap of columns: the
 reference for the accumulator kernel, which must return the same
 pivot rows.  It also returns the rows that gave a pivot, which the
 engine does not keep, for tests that ask where a pass met them.
+`from_dense` and `to_dense` convert between a SparseMatrix and a list
+of rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
+
+from maxclass.linalg import SparseMatrix
+
+
+def from_dense(field, dense, row_labels=None, col_labels=None) -> SparseMatrix:
+    """The matrix with these rows; its constructor drops the zero entries."""
+    rows = len(dense)
+    cols = len(dense[0]) if rows else 0
+    entries = {(r, c): x for r, row in enumerate(dense) for c, x in enumerate(row)}
+    return SparseMatrix(field, rows, cols, entries, row_labels, col_labels)
+
+
+def to_dense(M: SparseMatrix) -> list[list]:
+    """The rows of M, with the field's zero at every missing entry."""
+    dense = [[M.field.zero] * M.cols for _ in range(M.rows)]
+    for (r, c), x in M.entries.items():
+        dense[r][c] = x
+    return dense
 
 
 def rank_int(rows: list[list[int]], ncols: int) -> int:

@@ -357,7 +357,7 @@ def _oracle_ranks(d):
     the test oracle, which shares no code with linalg."""
     if d.is_zero():
         return 0, 0, 0
-    rows = elimination_oracle.integer_rows(d.to_dense())
+    rows = elimination_oracle.integer_rows(elimination_oracle.to_dense(d))
     mod3 = [[x % 3 for x in row] for row in rows]
     support = min(sum(map(any, rows)), sum(map(any, zip(*rows))))
     return (elimination_oracle.rank_int(rows, d.cols),

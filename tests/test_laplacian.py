@@ -1,9 +1,11 @@
 """Tests for the Hodge Laplacian route to the Betti numbers."""
+import random
+
 import pytest
 
 from maxclass import laplacian
 from maxclass.algebra import preset
-from maxclass.cochain import Cochain, basis, differential
+from maxclass.cochain import Cochain, basis, differential, differential_matrix
 from maxclass.cohomology import RouteMismatch, betti, is_exact
 from maxclass.fields import QQ, PrimeField
 from maxclass.laplacian import (
@@ -11,31 +13,42 @@ from maxclass.laplacian import (
     ShapeMismatch,
     harmonic_basis,
     laplacian_apply,
-    laplacian_matrix,
     m0_structure_check,
 )
+from maxclass.verify import verify_laplacian
 
 
 def mono(*idx):
     return Cochain.monomial(QQ, tuple(idx))
 
 
+def pairing(x: Cochain, y: Cochain):
+    """The pairing in which the monomials are orthonormal."""
+    return sum((v * y.terms.get(m, 0) for m, v in x.terms.items()), QQ.zero)
+
+
 def test_degree_one_generator_is_harmonic():
     m0 = preset("m0")
-    M = laplacian_matrix(m0, 1, 1)
-    assert (M.rows, M.cols) == (1, 1)
-    assert M.entries == {}
     assert laplacian_apply(m0, mono(1)).is_zero()
+    assert harmonic_basis(m0, 1, 1) == [mono(1)]
 
 
-def test_matrix_is_symmetric():
+def test_laplacian_is_self_adjoint_and_nonnegative():
+    """<Delta x, y> = <x, Delta y> and <Delta x, x> >= 0 on every pair of
+    monomials of a cell, and <Delta x, x> >= 0 on a combination of all
+    of them."""
+    rng = random.Random(5)
     for name in ("m0", "m2", "l1"):
         alg = preset(name)
         for q, k in ((1, 5), (2, 7), (2, 9), (3, 12)):
-            M = laplacian_matrix(alg, q, k)
-            Mt = M.transpose()
-            assert M.entries == {(c, r): v for (r, c), v in Mt.entries.items()} \
-                or M.to_dense() == Mt.to_dense()
+            monos = [Cochain.monomial(QQ, m) for m in basis(alg, q, k)]
+            images = [laplacian_apply(alg, x) for x in monos]
+            for x, dx in zip(monos, images):
+                assert pairing(dx, x) >= 0, (name, q, k, x)
+                for y, dy in zip(monos, images):
+                    assert pairing(dx, y) == pairing(x, dy), (name, q, k, x, y)
+            combination = Cochain(QQ, {m: QQ.of(rng.randint(-3, 3)) for m in basis(alg, q, k)})
+            assert pairing(laplacian_apply(alg, combination), combination) >= 0
 
 
 def test_kernel_dimension_matches_betti():
@@ -48,10 +61,14 @@ def test_kernel_dimension_matches_betti():
 
 
 def test_harmonic_vectors_are_closed_and_nonexact():
+    """Each harmonic h is closed, not exact, and co-closed:
+    D_{q-1}^T h = 0."""
     m0 = preset("m0")
     for q, k in ((1, 1), (2, 5), (3, 12)):
+        d_prev = differential_matrix(m0, q - 1, k)
         for h in harmonic_basis(m0, q, k):
             assert differential(m0, h).is_zero()
+            assert d_prev.transpose().apply(h.terms) == {}
             exact, _ = is_exact(m0, h)
             assert not exact
 
@@ -68,7 +85,9 @@ def test_harmonic_representative_q2_k5():
 def test_rejects_finite_fields():
     m0 = preset("m0")
     with pytest.raises(FieldNotOrdered):
-        laplacian_matrix(m0, 2, 5, PrimeField(5))
+        harmonic_basis(m0, 2, 5, PrimeField(5))
+    with pytest.raises(FieldNotOrdered):
+        laplacian_apply(m0, Cochain.monomial(PrimeField(5), (2, 3)))
 
 
 def test_structure_rejects_mixed_forms():
@@ -98,6 +117,22 @@ def test_harmonic_basis_raises_on_route_mismatch(monkeypatch):
     monkeypatch.setattr(laplacian, "betti", lambda alg, q, k, field=QQ: 0)
     with pytest.raises(RouteMismatch):
         harmonic_basis(preset("m0"), 2, 5)
+
+
+def test_verify_laplacian_records_a_route_mismatch(monkeypatch):
+    """A wrong Betti number at one cell fails that cell's check of
+    verify_laplacian, with the count in the message; it raises nothing."""
+    true_betti = laplacian.betti
+
+    def overstated(alg, q, k, field=QQ):
+        return true_betti(alg, q, k, field) + ((alg.name, q, k) == ("m0", 2, 5))
+
+    monkeypatch.setattr(laplacian, "betti", overstated)
+    report = verify_laplacian(qmax=2, kmax=6)
+    assert not report.passed
+    assert report.failures == ["m0: 1 harmonic forms at (2, 5), but b^2_5 = 2"]
+    # 3 algebras x 3 degrees x 7 weights, and 24 block identities
+    assert report.checks == 3 * 3 * 7 + 24
 
 
 def test_laplacian_reads_the_cached_differentials(monkeypatch):

@@ -21,6 +21,8 @@ from maxclass.sl2 import (
     x_derivation_matrix,
 )
 
+import elimination_oracle
+
 LAM = Fraction(-3, 7)
 
 
@@ -84,7 +86,7 @@ def test_primitive_vectors_are_killed_by_x():
             col = [QQ.zero] * M.cols
             for m, v in vec.items():
                 col[pos[m]] = v
-            dense = M.to_dense()
+            dense = elimination_oracle.to_dense(M)
             image = [sum((dense[r][c] * col[c] for c in range(M.cols)),
                          QQ.zero) for r in range(M.rows)]
             assert all(v == 0 for v in image)
