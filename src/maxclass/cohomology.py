@@ -2,10 +2,8 @@
 
 This is the brute-force route: dimensions come from exact ranks of the
 differential, representatives from the reduced echelon kernel basis,
-selected by the pivots of the image.  Matrices and ranks are cached per
-(algebra, field, q, k), ranks with their capped passes, since the table
-computations reuse them heavily; so is one class basis per cell, which
-every class query reduces against.
+selected by the pivots of the image.  One weight complex per (algebra,
+field, k) keeps all that the table computations reuse (see _Weight).
 
 The rank of d^q_k uses the complex.  One echelon pass, modulo the
 first prime over Q, stops at a proven bound on the rank: the support of
@@ -30,7 +28,8 @@ A cell with b^q_k = 0 has the empty class basis, read off `betti`
 with no elimination.  Any other cell's class basis comes from two
 certified eliminations: the kernel of d^q_k and the kernel of the
 flipped d^{q-1}_k (its transpose with the monomials in reverse order);
-a zero matrix among them is not eliminated.  A cocycle c is sum_g c[g] z_g
+a zero matrix among them is not eliminated, and the kernel of d^q_k is
+the one the rank took, if it took one.  A cocycle c is sum_g c[g] z_g
 over the free columns g of d^q_k, z_g its reduced echelon kernel
 vectors.  Those free columns are `taken`, the last monomials of
 coboundaries (the pivots of the flipped matrix), and F, the last
@@ -72,11 +71,6 @@ class RouteMismatch(ArithmeticError):
     """Two routes to the same dimension of a cell disagree."""
 
 
-@lru_cache(maxsize=None)
-def _cached_matrix(alg: GradedAlgebra, field: Field, q: int, k: int):
-    return differential_matrix(alg, q, k, field)
-
-
 # per algebra, the highest weight w with d d e^i = 0 for every generator i <= w
 _D_SQUARED_ZERO: dict[GradedAlgebra, int] = {}
 
@@ -94,37 +88,93 @@ def _d_squared_vanishes(alg: GradedAlgebra, k: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _cached_rank(alg: GradedAlgebra, field: Field, q: int, k: int, stop: int | None = None):
-    """rank d^q_k, certified over Q.  With `stop`, the record of one
-    capped pass instead: (pivot count, bound) of linalg.capped_pass(d^q_k,
-    stop).  Ranks and passes share this cache, so the pass that one rank
-    runs for a neighbouring degree is not run again for that degree's
-    own rank, and clearing the ranks clears the passes.
+class _Store(dict):
+    """A dict that builds a missing value from its key on first read."""
+    __slots__ = ("build",)
 
-    Over Q the count of the first prime's pass is the rank once it
-    reaches a proven bound (rank_p <= rank_Q):
-      - the support, which bounds every matrix;
-      - the cap dim C^q_k - rank d^{q-1}_k, where d∘d = 0 on weight k;
-      - the next degree, where d∘d = 0 on weight k: im d^q lies in
-        ker d^{q+1}, so rank_Q d^q <= dim C^{q+1}_k - rank_p d^{q+1}_k,
-        and a pass of d^{q+1} that reaches dim C^{q+1}_k - found
-        certifies found.  That stop is the cap d^{q+1}'s own rank uses.
-    Only a cell that reaches none of them takes the certified path."""
-    d = _cached_matrix(alg, field, q, k)
-    if stop is not None:
-        return linalg.capped_pass(d, stop)
-    if d.is_zero():
-        return 0
-    closed = _d_squared_vanishes(alg, k)
-    cap = d.cols - (_cached_rank(alg, field, q - 1, k) if q and closed else 0)
-    found, bound = _cached_rank(alg, field, q, k, cap)
-    if field.characteristic or found == bound:
-        return found
-    above = d.rows - found
-    if closed and _cached_rank(alg, field, q + 1, k, above)[0] == above:
-        return found
-    return linalg.rank(d)
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _Weight:
+    """C^•_k of one algebra over one field, one per (algebra, field, k)
+    through _weight.  By degree q: d[q] is d^q_k, passes[q, stop] is
+    linalg.capped_pass(d^q_k, stop), rank[q] its rank, classes[q] the class
+    basis of H^q_k, and _kernels[q] a kernel the rank certified, until
+    classes[q] takes it."""
+
+    def __init__(self, alg: GradedAlgebra, field: Field, k: int):
+        self.alg, self.field, self.k = alg, field, k
+        self.d = _Store(lambda q: differential_matrix(alg, q, k, field))
+        self.passes = _Store(lambda key: linalg.capped_pass(self.d[key[0]], key[1]))
+        self.rank, self.classes = _Store(self._rank), _Store(self._class_basis)
+        self._kernels: dict[int, list] = {}
+
+    def _rank(self, q: int) -> int:
+        """rank d^q_k, certified over Q: there the count of the first
+        prime's pass is the rank once it reaches a proven bound (rank_p <= rank_Q):
+          - the support, which bounds every matrix;
+          - the cap dim C^q_k - rank d^{q-1}_k, where d∘d = 0 on weight k;
+          - the next degree, where d∘d = 0 on weight k: im d^q lies in
+            ker d^{q+1}, so rank_Q d^q <= dim C^{q+1}_k - rank_p d^{q+1}_k,
+            and a pass of d^{q+1} that reaches dim C^{q+1}_k - found
+            certifies found.  That stop is the cap d^{q+1}'s own rank uses.
+        Only a cell that reaches none of them takes the certified path."""
+        d = self.d[q]
+        if d.is_zero():
+            return 0
+        closed = _d_squared_vanishes(self.alg, self.k)
+        cap = d.cols - (self.rank[q - 1] if q and closed else 0)
+        found, bound = self.passes[q, cap]
+        if self.field.characteristic or found == bound:
+            return found
+        above = d.rows - found
+        if closed and self.passes[q + 1, above][0] == above:
+            return found
+        kernel = self._kernels[q] = linalg.kernel_basis(d)
+        return d.cols - len(kernel)
+
+    def _class_basis(self, q: int):
+        """The canonical representatives z_f of H^q_k, ordered by f, and
+        their coordinate functionals y_f transposed: monomial m ->
+        [(i, y_i[m])], so that coordinate i of the class of a cocycle c is
+        sum_m c[m] y_i[m] (see the module docstring).
+
+        y_f is the reduced echelon kernel vector of the flipped d^{q-1}_k
+        (its transpose with the monomials in reverse order) on the free
+        column f: 1 at f and -b_t[f] at each pivot t, the last monomial of
+        a coboundary.  The other kernel vectors are not kept.
+
+        A cell with b^q_k = 0 has no representative and no coordinate, so
+        it is answered from `betti` with no elimination; a zero d^q_k or
+        d^{q-1}_k (d^{-1}_k is the map from the empty C^{-1}_k) has unit
+        kernel vectors, which linalg builds without eliminating."""
+        if not betti(self.alg, q, self.k, self.field):
+            self._kernels.pop(q, None)
+            return (), {}
+        # b^q_k > 0, so a kernel kept by the rank is not empty
+        kernel = self._kernels.pop(q, None) or linalg.kernel_basis(self.d[q])
+        mono_basis = basis(self.alg, q, self.k)
+        d_prev = self.d[q - 1]
+        last = len(mono_basis) - 1
+        flipped = linalg.SparseMatrix(self.field, d_prev.cols, d_prev.rows,
+                                      {(c, last - r): v for (r, c), v in d_prev.entries.items()},
+                                      col_labels=mono_basis[::-1])
+        # the free column of a flipped kernel vector is its first monomial
+        duals = {min(y): y for y in linalg.kernel_basis(flipped)}
+        reps = tuple(Cochain(self.field, z) for z in kernel if max(z) in duals)
+        functionals: dict = {}
+        for i, r in enumerate(reps):
+            for m, y in duals[max(r.terms)].items():
+                functionals.setdefault(m, []).append((i, y))
+        return reps, functionals
+
+
+_weight = lru_cache(maxsize=None)(_Weight)
 
 
 def betti(alg: GradedAlgebra, q: int, k: int, field: Field = QQ) -> int:
@@ -134,10 +184,8 @@ def betti(alg: GradedAlgebra, q: int, k: int, field: Field = QQ) -> int:
     dim = len(basis(alg, q, k))
     if dim == 0:
         return 0
-    kernel = dim - _cached_rank(alg, field, q, k)
-    if q == 0:
-        return kernel
-    return kernel - _cached_rank(alg, field, q - 1, k)
+    rank = _weight(alg, field, k).rank
+    return dim - rank[q] - (rank[q - 1] if q else 0)
 
 
 class BettiTable:
@@ -179,41 +227,6 @@ def betti_table(alg: GradedAlgebra, qmax: int, kmax: int,
     return BettiTable(alg.name, field, entries, qmax, kmax)
 
 
-@lru_cache(maxsize=None)
-def _class_basis(alg: GradedAlgebra, field: Field, q: int, k: int):
-    """The canonical representatives z_f of H^q_k, ordered by f, and
-    their coordinate functionals y_f transposed: monomial m ->
-    [(i, y_i[m])], so that coordinate i of the class of a cocycle c is
-    sum_m c[m] y_i[m] (see the module docstring).
-
-    y_f is the reduced echelon kernel vector of the flipped d^{q-1}_k
-    (its transpose with the monomials in reverse order) on the free
-    column f: 1 at f and -b_t[f] at each pivot t, the last monomial of
-    a coboundary.  The other kernel vectors are not kept.
-
-    A cell with b^q_k = 0 has no representative and no coordinate, so
-    it is answered from `betti` with no elimination; a zero d^q_k or
-    d^{q-1}_k (d^{-1}_k is the map from the empty C^{-1}_k) has unit
-    kernel vectors, which linalg builds without eliminating."""
-    if not betti(alg, q, k, field):
-        return (), {}
-    mono_basis = basis(alg, q, k)
-    kernel = linalg.kernel_basis(_cached_matrix(alg, field, q, k))
-    d_prev = _cached_matrix(alg, field, q - 1, k)
-    last = len(mono_basis) - 1
-    flipped = linalg.SparseMatrix(field, d_prev.cols, d_prev.rows,
-                                  {(c, last - r): v for (r, c), v in d_prev.entries.items()},
-                                  col_labels=mono_basis[::-1])
-    # the free column of a flipped kernel vector is its first monomial
-    duals = {min(y): y for y in linalg.kernel_basis(flipped)}
-    reps = tuple(Cochain(field, z) for z in kernel if max(z) in duals)
-    functionals: dict = {}
-    for i, r in enumerate(reps):
-        for m, y in duals[max(r.terms)].items():
-            functionals.setdefault(m, []).append((i, y))
-    return reps, functionals
-
-
 def _check_field(field: Field, cochains) -> None:
     """Raise FieldMismatch unless every cochain is over `field`."""
     if any(c.field != field for c in cochains):
@@ -222,7 +235,7 @@ def _check_field(field: Field, cochains) -> None:
 
 def _coordinates(functionals: dict, c: Cochain) -> dict[int, object]:
     """The nonzero class coordinates of a cocycle c, keyed by the index
-    of the representative (see _class_basis); over Q an integral one is
+    of the representative (see _Weight._class_basis); over Q an integral one is
     an int."""
     f = c.field
     out: dict[int, object] = {}
@@ -248,7 +261,7 @@ def representatives(alg: GradedAlgebra, q: int, k: int,
     `betti` is 0 builds none, so there the count is `betti`'s alone;
     the long exact sequences of `dixmier` and the Hodge kernels of
     `laplacian` check it by other routes."""
-    reps = _class_basis(alg, field, q, k)[0]
+    reps = _weight(alg, field, k).classes[q][0]
     expected = betti(alg, q, k, field)
     if len(reps) != expected:
         raise RouteMismatch(f"{len(reps)} representatives at ({q}, {k}), "
@@ -265,7 +278,7 @@ def is_exact(alg: GradedAlgebra, c: Cochain):
         raise NotCocycle("cochain is not closed")
     if q == 0:
         return False, None
-    M = _cached_matrix(alg, c.field, q - 1, k)
+    M = _weight(alg, c.field, k).d[q - 1]
     u = linalg.solve_in_image(M, dict(c.terms))
     if u is None:
         return False, None
@@ -285,10 +298,10 @@ def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
     the answer, and they are known to be closed; other reps give the
     b x len(reps) system of their own coordinates to solve."""
     _check_field(field, [c, *reps])
-    canonical, functionals = _class_basis(alg, field, q, k)
+    weight = _weight(alg, field, k)
+    canonical, functionals = weight.classes[q]
     own = tuple(reps) == canonical
-    d = _cached_matrix(alg, field, q, k)
-    if any(d.apply(x.terms) for x in ([c] if own else [c, *reps])):
+    if any(weight.d[q].apply(x.terms) for x in ([c] if own else [c, *reps])):
         return None
     target = _coordinates(functionals, c)
     if own:
@@ -318,10 +331,10 @@ def class_rank(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
     cochains = [c for c in cochains if not c.is_zero()]
     if not cochains:
         return 0
-    d = _cached_matrix(alg, field, q, k)
-    if any(d.apply(c.terms) for c in cochains):
+    weight = _weight(alg, field, k)
+    if any(weight.d[q].apply(c.terms) for c in cochains):
         return None
-    reps, functionals = _class_basis(alg, field, q, k)
+    reps, functionals = weight.classes[q]
     M = linalg.SparseMatrix(field, len(cochains), len(reps),
                             {(j, i): v for j, c in enumerate(cochains)
                              for i, v in _coordinates(functionals, c).items()})

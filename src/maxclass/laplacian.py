@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import linalg
 from .algebra import GradedAlgebra
 from .cochain import Cochain, derive
-from .cohomology import RouteMismatch, _cached_matrix, betti
+from .cohomology import RouteMismatch, _weight, betti
 from .explicit import d1_apply
 from .fields import QQ, Field
 
@@ -35,10 +35,10 @@ def _stacked(alg: GradedAlgebra, q: int, k: int, field: Field) -> linalg.SparseM
     integers: first those of D_q, then one per monomial of Lambda^{q-1}_k."""
     if field.characteristic != 0:
         raise FieldNotOrdered("Hodge pairing requires characteristic zero")
-    d_q = _cached_matrix(alg, field, q, k)
+    d_q = _weight(alg, field, k).d[q]
     rows, entries = d_q.rows, dict(d_q.entries)
     if q >= 1:
-        d_prev = _cached_matrix(alg, field, q - 1, k)
+        d_prev = _weight(alg, field, k).d[q - 1]
         entries.update({(rows + c, r): v for (r, c), v in d_prev.entries.items()})
         rows += d_prev.cols
     return linalg.SparseMatrix._of_nonzero(field, rows, d_q.cols, entries,

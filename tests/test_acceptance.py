@@ -1,6 +1,7 @@
 """Acceptance gate: fourteen exact cross-checks, one per test, each
 printing a single pass/fail line.  All arithmetic is exact, so every
 comparison is equality with zero tolerance."""
+import os
 from itertools import combinations
 
 import pytest
@@ -29,6 +30,8 @@ from maxclass.verify import (
     verify_goncharova,
     verify_laplacian,
 )
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def report(number, name, ok, detail=""):
@@ -143,9 +146,9 @@ def test_criterion_03_m2_dimensions():
 
 
 def test_criterion_04_golden_cocycles():
-    with open("tests/golden/omega_5_6.txt") as fh:
+    with open(os.path.join(GOLDEN, "omega_5_6.txt")) as fh:
         golden_omega = fh.read().strip()
-    with open("tests/golden/w_5.txt") as fh:
+    with open(os.path.join(GOLDEN, "w_5.txt")) as fh:
         golden_w = fh.read().strip()
     ok = (cochain_text(omega((5, 6))) == golden_omega
           and cochain_text(w_cocycle((5,))) == golden_w)

@@ -10,6 +10,8 @@ import pytest
 import maxclass
 from maxclass.cli import main
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -41,7 +43,7 @@ def test_betti_json_roundtrip(capsys):
 def test_cocycle_omega_matches_golden(capsys):
     code, out, _ = run(["cocycle", "--omega", "5,6"], capsys)
     assert code == 0
-    with open("tests/golden/omega_5_6.txt") as fh:
+    with open(os.path.join(GOLDEN, "omega_5_6.txt")) as fh:
         golden = fh.read().strip()
     assert out.strip() == golden
 
@@ -49,7 +51,7 @@ def test_cocycle_omega_matches_golden(capsys):
 def test_cocycle_w_matches_golden(capsys):
     code, out, _ = run(["cocycle", "--w", "5"], capsys)
     assert code == 0
-    with open("tests/golden/w_5.txt") as fh:
+    with open(os.path.join(GOLDEN, "w_5.txt")) as fh:
         golden = fh.read().strip()
     assert out.strip() == golden
 

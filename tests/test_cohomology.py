@@ -263,8 +263,8 @@ def test_integral_representative_coefficients_are_int():
 def _uncapped_betti(alg, q, k, field=QQ):
     """dim C^q_k - rank d^q_k - rank d^{q-1}_k, each rank on the certified
     path without a bound."""
-    d = cohomology._cached_matrix(alg, field, q, k)
-    below = linalg.rank(cohomology._cached_matrix(alg, field, q - 1, k)) if q else 0
+    d = cohomology._weight(alg, field, k).d[q]
+    below = linalg.rank(cohomology._weight(alg, field, k).d[q - 1]) if q else 0
     return d.cols - linalg.rank(d) - below
 
 
@@ -288,8 +288,8 @@ def test_cap_is_refused_when_d_squared_is_not_zero():
     for q in range(5):
         for k in range(18):
             assert betti(alg, q, k) == _uncapped_betti(alg, q, k), (q, k)
-            d = cohomology._cached_matrix(alg, QQ, q, k)
-            if q and linalg.rank(d) > d.cols - cohomology._cached_rank(alg, QQ, q - 1, k):
+            d = cohomology._weight(alg, QQ, k).d[q]
+            if q and linalg.rank(d) > d.cols - cohomology._weight(alg, QQ, k).rank[q - 1]:
                 short.append((q, k))
     assert (3, 10) in short and (3, 16) in short
 
@@ -299,8 +299,8 @@ def test_cap_is_refused_when_d_squared_is_not_zero():
 def test_cached_rank_equals_the_uncapped_rank(alg):
     for q in range(5):
         for k in range(21):
-            assert cohomology._cached_rank(alg, QQ, q, k) \
-                == linalg.rank(cohomology._cached_matrix(alg, QQ, q, k)), (q, k)
+            assert cohomology._weight(alg, QQ, k).rank[q] \
+                == linalg.rank(cohomology._weight(alg, QQ, k).d[q]), (q, k)
 
 
 @settings(max_examples=5, deadline=None)
@@ -324,10 +324,10 @@ def test_qq_cells_take_one_echelon_pass(monkeypatch):
     monkeypatch.setattr(linalg, "_certified_kernel",
                         lambda *args: pytest.fail("the certified path ran"))
     l1 = preset("l1")
-    cohomology._cached_rank.cache_clear()
+    cohomology._weight.cache_clear()
     table = {(q, k): betti(l1, q, k) for k in range(31) for q in range(4)}
     nonzero = {id(d) for (q, k) in table
-               if not (d := cohomology._cached_matrix(l1, QQ, q, k)).is_zero()}
+               if not (d := cohomology._weight(l1, QQ, k).d[q]).is_zero()}
     assert Counter(eliminated).most_common(1)[0][1] == 1
     assert nonzero <= set(eliminated)
     assert [cell for cell, b in table.items() if b and cell[0]] \
@@ -374,15 +374,15 @@ def test_a_rank_deficient_first_prime_changes_no_betti_number(monkeypatch):
     Q value on every cell."""
     primes = linalg._primes
     monkeypatch.setattr(linalg, "_primes", lambda: chain([3], primes()))
-    cohomology._cached_rank.cache_clear()
+    cohomology._weight.cache_clear()
     paths, tight_when_deficient = Counter(), Counter()
     for name, j in (("m0", 5), ("m2", 9)):
         alg = _rescaled(name, 22, j)
-        ranks = {(q, k): _oracle_ranks(cohomology._cached_matrix(alg, QQ, q, k))
+        ranks = {(q, k): _oracle_ranks(cohomology._weight(alg, QQ, k).d[q])
                  for q in range(-1, 6) for k in range(23)}
         for k in range(23):
             for q in range(5):
-                (r, r3, support), d = ranks[q, k], cohomology._cached_matrix(alg, QQ, q, k)
+                (r, r3, support), d = ranks[q, k], cohomology._weight(alg, QQ, k).d[q]
                 assert betti(alg, q, k) == d.cols - r - ranks[q - 1, k][0] \
                     == betti(preset(name), q, k), (name, q, k)
                 if d.is_zero():
@@ -402,10 +402,9 @@ def test_a_rank_deficient_first_prime_changes_no_betti_number(monkeypatch):
 
 def _clear_caches(monkeypatch):
     """Every cache a Betti number or a class query reads: bases,
-    compiled d e^i, matrices, ranks with their passes, class bases and
-    the d∘d watermark."""
-    for cached in (cochain._basis, cochain._generator_images, cohomology._cached_matrix,
-                   cohomology._cached_rank, cohomology._class_basis):
+    compiled d e^i, the weight complexes (matrices, ranks with their
+    passes, class bases) and the d∘d watermark."""
+    for cached in (cochain._basis, cochain._generator_images, cohomology._weight):
         cached.cache_clear()
     monkeypatch.setattr(cohomology, "_D_SQUARED_ZERO", {})
 
@@ -428,6 +427,27 @@ def test_cell_order_and_cache_state_change_no_betti_number(alg, field, monkeypat
         assert {cell: betti(alg, *cell, field) for cell in order} == in_order
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["m0n", "m2n", "l1quot"]), st.integers(3, 10),
+       st.sampled_from([QQ, PrimeField(5)]), st.randoms(use_true_random=False))
+def test_finite_quotients_satisfy_poincare_duality_in_any_cell_order(name, n, field, rnd):
+    """A quotient of dimension n is nilpotent, hence unimodular, so
+    b^q_k = b^{n-q}_{K-k} with K = 1 + ... + n, the weight of its top
+    form.  With the weight complexes cleared, every cell with q <= n and
+    k <= K, taken in shuffled order, gives that symmetric table, and it
+    is the in-order one."""
+    alg, top = preset(name, n), n * (n + 1) // 2
+    cells = [(q, k) for q in range(n + 1) for k in range(top + 1)]
+    cohomology._weight.cache_clear()
+    in_order = {cell: betti(alg, *cell, field) for cell in cells}
+    rnd.shuffle(cells)
+    cohomology._weight.cache_clear()
+    table = {cell: betti(alg, *cell, field) for cell in cells}
+    assert table == in_order
+    assert all(b == table[n - q, top - k] for (q, k), b in table.items())
+    assert table[0, 0] == table[n, top] == 1
+
+
 def test_m0_cells_take_no_certified_path(monkeypatch):
     """m0 at q <= 6, k <= 40 over Q: every rank is certified by a bound
     at the first prime (the support, where the cap is not reached)."""
@@ -435,7 +455,7 @@ def test_m0_cells_take_no_certified_path(monkeypatch):
     certified = linalg._certified_kernel
     monkeypatch.setattr(linalg, "_certified_kernel",
                         lambda *args: calls.append(1) or certified(*args))
-    cohomology._cached_rank.cache_clear()
+    cohomology._weight.cache_clear()
     betti_table(preset("m0"), 6, 40)
     assert not calls
 
@@ -481,7 +501,7 @@ def test_fp_cells_take_one_echelon_pass(monkeypatch):
     echelon = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon",
                         lambda *args: passes.append(1) or echelon(*args))
-    cohomology._cached_rank.cache_clear()
+    cohomology._weight.cache_clear()
     for alg, p, kmax in ((preset("l1"), 2 ** 31 - 1, 31), (preset("m0"), 3, 21),
                          (_m0_with_e2_e3(), 5, 16)):
         field = PrimeField(p)
@@ -490,7 +510,7 @@ def test_fp_cells_take_one_echelon_pass(monkeypatch):
                 before = len(passes)
                 betti(alg, q, k, field)
                 nonzero = bool(basis(alg, q, k)) \
-                    and not cohomology._cached_matrix(alg, field, q, k).is_zero()
+                    and not cohomology._weight(alg, field, k).d[q].is_zero()
                 assert len(passes) - before == nonzero, (alg, q, k)
 
 
@@ -526,6 +546,25 @@ def test_a_cell_without_classes_builds_no_class_basis(monkeypatch):
     assert not calls
 
 
+def test_no_matrix_is_certified_twice(monkeypatch):
+    """Over Q, betti and then representatives on m2 at 1 <= q <= 5,
+    k <= 40: a d^q_k whose rank takes the certified kernel hands that
+    kernel to the class basis of its cell, so no matrix is certified
+    twice, and some are certified by the rank."""
+    m2 = preset("m2")
+    cells = [(q, k) for q in range(1, 6) for k in range(41)]
+    _clear_caches(monkeypatch)
+    calls, certified = Counter(), linalg._certified_kernel
+    monkeypatch.setattr(linalg, "_certified_kernel", lambda rows, ncols: calls.update(
+        [(ncols, tuple(tuple(sorted(row.items())) for row in rows))]) or certified(rows, ncols))
+    for cell in cells:
+        betti(m2, *cell)
+    by_rank = sum(calls.values())
+    for cell in cells:
+        representatives(m2, *cell)
+    assert by_rank and max(calls.values()) == 1
+
+
 def test_an_understated_betti_number_is_caught_by_other_routes(monkeypatch):
     """representatives builds no class basis where betti reads 0, so it
     takes an understated b^2_5(m0) = 0 (it is 1) on trust; the long
@@ -551,7 +590,7 @@ def test_an_understated_betti_number_is_caught_by_other_routes(monkeypatch):
             laplacian.harmonic_basis(m0, 2, 5)
     finally:
         # the empty class basis of (2, 5) is cached under the true betti too
-        cohomology._class_basis.cache_clear()
+        cohomology._weight.cache_clear()
 
 
 CLASS_ALGEBRAS = [preset("m0"), preset("m2"), preset("l1"), preset("l1quot", 8),
@@ -677,7 +716,7 @@ def test_the_rescaled_truncation_has_fractional_coboundary_coefficients():
     alg = CLASS_ALGEBRAS[-1]
     fractional = [(q, k) for q, k in CLASS_CELLS
                   if any(type(y) is Fraction and y.denominator > 1
-                         for terms in cohomology._class_basis(alg, QQ, q, k)[1].values()
+                         for terms in cohomology._weight(alg, QQ, k).classes[q][1].values()
                          for _, y in terms)]
     assert fractional
 
