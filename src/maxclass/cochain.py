@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import accumulate
 
 from .algebra import GradedAlgebra
 from .fields import QQ, Field
@@ -147,30 +148,46 @@ def wedge(a: Cochain, b: Cochain) -> Cochain:
 
 
 def increasing_tuples(indices, q: int, k: int) -> list[Monomial]:
-    """All strictly increasing q-tuples drawn from the ascending integer
-    sequence `indices` with sum k, in lexicographic order."""
-    if q < 0:
-        return []
+    """All strictly increasing q-tuples drawn from the strictly ascending
+    integer sequence `indices` with sum k, in lexicographic order.
+
+    A branch with `slots` places left is cut from both ends, so the work
+    follows the output: its smallest completion, the next `slots` pool
+    entries, must not exceed the remaining sum, and its largest, the top
+    `slots` entries of the pool, must reach it; both come from prefix and
+    suffix sums taken once per call.  It also stops when fewer than
+    `slots` entries are left.  The last two places close in one loop:
+    for each i, j = remaining - i is looked up with `bisect`."""
     pool = list(indices)
+    n = len(pool)
+    if not 0 < q <= n:
+        return [()] if q == k == 0 else []
+    low = [0, *accumulate(pool)]            # low[p]: the sum of pool[:p]
+    top = [0, *accumulate(reversed(pool))]  # top[s]: the sum of the s largest
     out: list[Monomial] = []
 
     def extend(prefix, start, remaining, slots):
-        if slots == 0:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        if slots == 1:
-            # the last index is `remaining` itself, if the pool has it
-            pos = bisect_left(pool, remaining, start)
-            if pos < len(pool) and pool[pos] == remaining:
+        rest = slots - 1
+        # the first i whose completion can reach the remaining sum
+        pos = bisect_left(pool, remaining - top[rest], start)
+        if rest == 0:
+            if pos < n and pool[pos] == remaining:
                 out.append(prefix + (remaining,))
-            return
-        for pos in range(start, len(pool)):
-            i = pool[pos]
-            # smallest completion: i followed by i+1, ..., i+slots-1
-            if slots * i + slots * (slots - 1) // 2 > remaining:
-                break
-            extend(prefix + (i,), pos + 1, remaining - i, slots - 1)
+        elif rest == 1:
+            for pos in range(pos, n - 1):
+                i = pool[pos]
+                j = remaining - i
+                if j <= i:
+                    break
+                at = bisect_left(pool, j, pos + 1)
+                if at < n and pool[at] == j:
+                    out.append(prefix + (i, j))
+        else:
+            for pos in range(pos, n - rest):
+                if low[pos + slots] - low[pos] > remaining:
+                    break
+                i = pool[pos]
+                extend(prefix + (i,), pos + 1, remaining - i, rest)
 
     extend((), 0, k, q)
     return out

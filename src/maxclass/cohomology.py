@@ -58,8 +58,8 @@ from functools import lru_cache
 
 from . import linalg
 from .algebra import GradedAlgebra
-from .cochain import (Cochain, FieldMismatch, basis, differential, differential_matrix,
-                     jacobi_defect)
+from .cochain import (Cochain, FieldMismatch, _basis, basis, differential,
+                     differential_matrix, jacobi_defect)
 from .fields import QQ, Field
 
 
@@ -181,7 +181,7 @@ def betti(alg: GradedAlgebra, q: int, k: int, field: Field = QQ) -> int:
     """dim H^q_k = dim ker d^q_k - rank d^{q-1}_k."""
     if q < 0 or k < 0:
         return 0
-    dim = len(basis(alg, q, k))
+    dim = len(_basis(alg, q, k))
     if dim == 0:
         return 0
     rank = _weight(alg, field, k).rank
@@ -349,7 +349,7 @@ def euler_characteristic(alg: GradedAlgebra, k: int, field: Field = QQ) -> int:
     chi_betti = 0
     for q in range(max(k, 1) + 1):
         sign = -1 if q % 2 else 1
-        chi_cochain += sign * len(basis(alg, q, k))
+        chi_cochain += sign * len(_basis(alg, q, k))
         chi_betti += sign * betti(alg, q, k, field)
     if chi_cochain != chi_betti:
         raise RouteMismatch(

@@ -278,7 +278,9 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int):
 
 def _rows(M: SparseMatrix) -> list[dict[int, int]]:
     """The nonzero rows of M as integer maps keyed by column; over Q each
-    row is scaled by the lcm of its denominators.  Bottom-up order: the
+    row is scaled by the lcm of its denominators.  One scan of the entry
+    types decides that scaling for the whole matrix: an all-int matrix,
+    the usual case, keeps its rows as they are.  Bottom-up order: the
     latest leading (smallest) column first, the later row first on ties.
     A pivot row then has few columns to the right of its pivot, and the
     rows with early leading columns come last and are reduced by short
@@ -288,10 +290,8 @@ def _rows(M: SparseMatrix) -> list[dict[int, int]]:
         by_row.setdefault(r, {})[c] = v
     order = sorted(by_row, key=lambda r: (min(by_row[r]), r), reverse=True)
     rows = [by_row[r] for r in order]
-    if M.field.characteristic == 0:
+    if M.field.characteristic == 0 and not set(map(type, M.entries.values())) <= {int}:
         for row in rows:
-            if all(type(v) is int for v in row.values()):
-                continue
             den = lcm(*(v.denominator for v in row.values()))
             for c, v in row.items():
                 row[c] = v.numerator * (den // v.denominator)

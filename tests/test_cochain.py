@@ -1,5 +1,6 @@
 import weakref
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,11 +249,36 @@ def test_differential_linearity(pairs):
     assert differential(m0, total) == image
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sets(st.integers(0, 24), max_size=14), st.integers(0, 5), st.integers(0, 70))
+# pools hold 0, as the sl(2) wedge bases enumerate range(bound + 1); short
+# pools with large k are where the largest completion prunes
+@settings(max_examples=400, deadline=None)
+@given(st.sets(st.integers(0, 30), max_size=14) | st.sets(st.integers(0, 30), max_size=5),
+       st.integers(-1, 8), st.integers(-1, 130))
 def test_increasing_tuples_match_brute_force(pool, q, k):
     pool = sorted(pool)
-    assert increasing_tuples(pool, q, k) == [t for t in combinations(pool, q) if sum(t) == k]
+    expected = [t for t in combinations(pool, q) if sum(t) == k] if q >= 0 else []
+    assert increasing_tuples(pool, q, k) == expected
+
+
+def test_increasing_tuples_at_the_largest_sum():
+    # the only 6-tuple of 1..40 with the largest sum, and one just above it
+    assert increasing_tuples(range(1, 41), 6, 225) == [tuple(range(35, 41))]
+    assert increasing_tuples(range(1, 41), 6, 226) == []
+    assert increasing_tuples(range(1, 41), 41, 820) == []
+
+
+@pytest.mark.parametrize("key,n", [("m0n", 17), ("m2n", 13), ("l1quot", 15)])
+def test_quotient_bases_hold_every_monomial_once(key, n):
+    """Over all weights, the q-cochains of an n-dimensional quotient are
+    the C(n, q) subsets of its generators 1..n."""
+    alg = preset(key, n)
+    try:
+        for q in range(n + 2):
+            monos = [m for k in range(n * (n + 1) // 2 + 1) for m in basis(alg, q, k)]
+            assert len(monos) == comb(n, q), q
+            assert all(1 <= i <= n for m in monos for i in m)
+    finally:
+        cochain._basis.cache_clear()
 
 
 def test_increasing_tuples_on_non_contiguous_pools():

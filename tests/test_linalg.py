@@ -501,6 +501,21 @@ def test_capped_rank_equals_the_rank(case, extra):
             assert found == r
 
 
+@pytest.mark.parametrize("dense,scaled,r", [
+    ([[2, -3, 0, 5], [0, 4, 1, 0], [2, 1, 1, 5], [0, 0, 7, -1]], None, 3),
+    # one fractional row among int rows: only it is scaled, by its lcm 6
+    ([[2, -3, 0, 5], [Fraction(1, 2), Fraction(2, 3), 0, 1], [0, 4, 1, 0], [0, 0, 7, -1]],
+     [[2, -3, 0, 5], [3, 4, 0, 6], [0, 4, 1, 0], [0, 0, 7, -1]], 4),
+])
+def test_rows_over_q_scale_only_fractional_rows(dense, scaled, r):
+    M = oracle.from_dense(QQ, dense)
+    rows = linalg._rows(M)
+    expected = sorted(sorted((c, x) for c, x in enumerate(row) if x) for row in scaled or dense)
+    assert sorted(sorted(row.items()) for row in rows) == expected
+    assert all(type(x) is int for row in rows for x in row.values())
+    assert capped_pass(M, 4)[0] == rank(M) == oracle.rank_int(oracle.integer_rows(dense), 4) == r
+
+
 @settings(max_examples=60, deadline=None)
 @given(permuted_matrices())
 def test_triangular_first_returns_every_row_once(case):
