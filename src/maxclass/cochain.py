@@ -316,11 +316,11 @@ def derive(c: Cochain, images) -> Cochain:
     replaced in turn by each image tuple with the sign of
     `_derived_terms`.  A `_Compiled` map over the same field is used as
     it is, so a caller that passes one to many calls compiles each
-    image once (as `_generator_images` does for d, and
-    `explicit._omega_sum` and `explicit._w_sum` for D1 and D2 per
-    expansion); a plain callable is compiled for this call only.  A sum
-    that cancels is dropped where it arises, and a product of nonzero
-    field elements is nonzero, so the result keeps its terms unfiltered."""
+    image once (as `_generator_images` does for d per (algebra, field),
+    and `explicit` for D1 and D2 per public call); a plain callable is
+    compiled for this call only.  A sum that cancels is dropped where it
+    arises, and a product of nonzero field elements is nonzero, so the
+    result keeps its terms unfiltered."""
     f = c.field
     terms = _compiled(images, f)
     out: dict[int, object] = {}

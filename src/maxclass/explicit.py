@@ -7,10 +7,11 @@ exterior algebra on the abelian (or almost-abelian) ideal:
   D2: e^i -> e^{i-2}   (weight -2; with the low-index special cases)
 
 plus partial right inverses and the ``omega`` expansion, which converts
-a strictly increasing index tuple into an explicitly closed cochain.
-The cup product of two omega classes is their wedge, which already
-lies in the span of the omega cochains.  The m2 variants carry 1/2^l
-coefficients and therefore refuse fields of characteristic two.
+a strictly increasing index tuple into an explicitly closed cochain;
+each public construction is one such expansion, `_omega_sum`.  The cup
+product of two omega classes is their wedge, which already lies in the
+span of the omega cochains.  The m2 variants carry 1/2^l coefficients
+and therefore refuse fields of characteristic two.
 """
 from __future__ import annotations
 
@@ -88,38 +89,33 @@ def _check_indices(indices, floor: int) -> tuple:
     return indices
 
 
-def _expand(xi: Cochain, step, stage) -> Cochain:
-    """sum over l >= 0 of stage(l, step^l(xi)), until step^l(xi) is zero."""
-    out = Cochain(xi.field)
-    l = 0
-    while not xi.is_zero():
-        for m, v in stage(l, xi).terms.items():
-            out.add_term(m, v)
-        xi = step(xi)
-        l += 1
+def _omega_sum(groups, field: Field, floor: int = 2) -> Cochain:
+    """sum over t of sum_l (-1)^l D1^l(xi_t) ^ e^{t+1+l} for groups
+    {t: terms of xi_t}, no index of xi_t above t.  D1 lowers indices, so
+    a term is its monomial with t+1+l appended, sign +1, and the
+    monomials sharing a top expand together; the sum over different tops
+    cancels as it goes.  D1 is compiled once per call."""
+    d1 = _compiled(_d1_images(floor), field)
+    out = Cochain(field)
+    for t, terms in groups.items():
+        xi, top, negate = Cochain(field, terms), t + 1, False
+        while xi.terms:
+            for m, v in xi.terms.items():
+                out.add_term(m + (top,), field.neg(v) if negate else v)
+            xi, top, negate = derive(xi, d1), top + 1, not negate
     return out
-
-
-def _omega_sum(xi: Cochain, top: int, floor: int = 2) -> Cochain:
-    """sum_l (-1)^l D1^l(xi) ^ e^{top+1+l}; D1 is compiled once for all
-    the steps."""
-    f = xi.field
-    d1 = _compiled(_d1_images(floor), f)
-
-    def stage(l, x):
-        return wedge(x, Cochain.monomial(f, (top + 1 + l,), f.of(-1 if l % 2 else 1)))
-    return _expand(xi, lambda x: derive(x, d1), stage)
 
 
 def d_minus1(c: Cochain) -> Cochain:
     """Right inverse of D1 on the m0 ideal: per monomial xi ^ e^i it is
-    sum_l (-1)^l D1^l(xi) ^ e^{i+1+l}."""
-    f = c.field
-    out = Cochain(f)
+    sum_l (-1)^l D1^l(xi) ^ e^{i+1+l}.  A monomial must end in a
+    generator e^i, i >= 2, of the ideal (InvalidIndices otherwise)."""
+    groups: dict = {}
     for mono, coeff in c.terms.items():
-        for m, v in _omega_sum(Cochain.monomial(f, mono[:-1], coeff), mono[-1]).terms.items():
-            out.add_term(m, v)
-    return out
+        if not mono or mono[-1] < 2:
+            raise InvalidIndices(f"{mono} does not end in a generator of the m0 ideal")
+        groups.setdefault(mono[-1], {})[mono[:-1]] = coeff
+    return _omega_sum(groups, c.field)
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +134,21 @@ def omega(indices, field: Field = QQ, floor: int = 2) -> Cochain:
     the shifted copy inside m2)."""
     _check_floor(floor)
     indices = _check_indices(indices, floor)
-    return _omega_sum(Cochain.monomial(field, indices), indices[-1], floor)
+    return _omega_sum({indices[-1]: {indices: field.one}}, field, floor)
 
 
 def omega_map(c: Cochain, floor: int = 2) -> Cochain:
     """Linear extension of omega to cochains: each monomial must end in
     an adjacent pair (r, r+1); it is replaced by omega of the monomial
     with the final index removed.  Monomials that do not, or that reach
-    below the generator floor, are dropped."""
+    below the generator floor, are dropped.  The kept monomials expand
+    together, grouped by the top index of what omega receives."""
     _check_floor(floor)
-    f = c.field
-    out = Cochain(f)
+    groups: dict = {}
     for mono, coeff in c.terms.items():
-        if len(mono) < 2 or mono[0] < floor or mono[-1] != mono[-2] + 1:
-            continue
-        for m2, v in omega(mono[:-1], f, floor).terms.items():
-            out.add_term(m2, f.mul(coeff, v))
-    return out
+        if len(mono) >= 2 and mono[0] >= floor and mono[-1] == mono[-2] + 1:
+            groups.setdefault(mono[-2], {})[mono[:-1]] = coeff
+    return _omega_sum(groups, c.field, floor)
 
 
 def leading_term(c: Cochain) -> Monomial:
@@ -195,18 +189,18 @@ def _require_odd_characteristic(field: Field):
 
 def _w_sum(indices, field: Field, floor: int, halves: int) -> Cochain:
     """sum_l omega_map((D2 + D1^2)^l(e^{i_1}^...^e^{i_q}) ^ e^{i_q+1+l} ^
-    e^{i_q+2+l}, floor) / 2^(l + halves); D2 and D1 are compiled once
-    for all the steps."""
+    e^{i_q+2+l}, floor) / 2^(l + halves).  D2 + D1^2 lowers indices, so
+    stage l is omega_map of its monomials m with t = i_q+1+l, t+1
+    appended: the group t of `_omega_sum`, terms m + (t,) for
+    m[0] >= floor.  D2 + D1^2 and the expansion compile once per call."""
     indices = _check_indices(indices, 3)
     _require_odd_characteristic(field)
-    f = field
-    top = indices[-1]
-
-    def stage(l, x):
-        pair = Cochain.monomial(f, (top + 1 + l, top + 2 + l),
-                                f.from_rational(Fraction(1, 2 ** (l + halves))))
-        return omega_map(wedge(x, pair), floor)
-    return _expand(Cochain.monomial(f, indices), _d2_plus_d1sq(f), stage)
+    step, x, groups, l = _d2_plus_d1sq(field), Cochain.monomial(field, indices), {}, 0
+    while x.terms:
+        t, scale = indices[-1] + 1 + l, field.from_rational(Fraction(1, 2 ** (l + halves)))
+        groups[t] = {m + (t,): field.mul(v, scale) for m, v in x.terms.items() if m[0] >= floor}
+        x, l = step(x), l + 1
+    return _omega_sum(groups, field, floor)
 
 
 def w_cocycle(indices, field: Field = QQ) -> Cochain:

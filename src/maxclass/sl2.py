@@ -61,6 +61,8 @@ def _y_coeff(mod: Sl2Module, i: int) -> Fraction:
 
 def act(mod: Sl2Module, g: str, c: dict) -> dict:
     """Apply X, Y, or H to a combination {index: scalar}."""
+    if g not in ("H", "X", "Y"):
+        raise ValueError(f"unknown generator {g!r}")
     f = mod.field
     out: dict = {}
 
@@ -79,10 +81,8 @@ def act(mod: Sl2Module, g: str, c: dict) -> dict:
         elif g == "X":
             if i > 0:
                 put(i - 1, f.mul(v, f.from_rational(_x_coeff(mod, i))))
-        elif g == "Y":
-            put(i + 1, f.mul(v, f.from_rational(_y_coeff(mod, i))))
         else:
-            raise ValueError(f"unknown generator {g!r}")
+            put(i + 1, f.mul(v, f.from_rational(_y_coeff(mod, i))))
     return out
 
 

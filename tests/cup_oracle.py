@@ -5,8 +5,8 @@ It expands the double sum omega(a) ^ omega(b) by hand into the three
 families of summands whose two highest indices are adjacent (the second
 factor untouched; both factors differentiated, pairing at j+k / j+k+1
 from either side) and applies `omega_map` to their sum.  Slow and
-simple, it is the oracle the one-line `omega_map(wedge(...))` form is
-compared against.
+simple, it is the oracle the library's `cup_formula`, which is
+`wedge(omega(a), omega(b))` itself, is compared against.
 """
 from __future__ import annotations
 

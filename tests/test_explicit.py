@@ -1,11 +1,13 @@
 import os
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cup_oracle
+import w_oracle
 from maxclass import cochain, explicit
 from maxclass.algebra import preset, subalgebra
 from maxclass.cochain import Cochain, basis, cochain_text, differential, wedge
@@ -72,6 +74,16 @@ def test_d_minus1_is_right_inverse():
         assert d1_apply(d_minus1(c)) == c
     assert d_minus1(mono((5,))) == mono((6,))
     assert d_minus1(mono((3, 7))) == mono((3, 8)) - mono((2, 9))
+
+
+@pytest.mark.parametrize("indices", [(), (1,)])
+def test_d_minus1_refuses_a_monomial_that_does_not_end_in_the_ideal(indices):
+    """The empty monomial has no last index, and e^1 would go to e^2,
+    which D1 kills: neither has a preimage of the form xi ^ e^{i+1+l}."""
+    with pytest.raises(InvalidIndices):
+        d_minus1(mono(indices))
+    with pytest.raises(InvalidIndices):
+        d_minus1(mono((3,)) + mono(indices, 2))
 
 
 def test_d2_rules():
@@ -179,6 +191,77 @@ def test_omega_map():
     assert omega_map(mono((1, 6, 7))).is_zero()
 
 
+def test_omega_map_compiles_d1_once_per_call(monkeypatch):
+    """One omega_map call expands all its kept monomials with one
+    compiled D1, however many there are."""
+    built = []
+    init = cochain._Compiled.__init__
+    monkeypatch.setattr(cochain._Compiled, "__init__",
+                        lambda self, images, field: built.append(images) or init(self, images, field))
+    c = mono((2, 5, 6)) + mono((3, 5, 6)) + mono((2, 6, 7)) + mono((4, 8, 9))
+    got = omega_map(c)
+    assert len(built) == 1
+    assert got == omega((2, 5)) + omega((3, 5)) + omega((2, 6)) + omega((4, 8))
+
+
+@st.composite
+def _clustered_cochains(draw, adjacent):
+    """A cochain over QQ or F_5 whose monomials end at a few neighbouring
+    tops, so that several share a top and the tops' expansions overlap.
+    With `adjacent`, most end in an adjacent pair (r, r+1); some reach
+    below the floor or end in no pair.  Over QQ the coefficients are all
+    integers or all Fractions, one scale per example."""
+    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    base = draw(st.integers(4, 8))
+    scale = field.from_rational(Fraction(1, draw(st.sampled_from([1, 2, 3]))))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        r = base + draw(st.integers(0, 2))
+        head = tuple(sorted(draw(st.sets(st.integers(1, r - 1), max_size=2))))
+        tail = (r, r + draw(st.sampled_from([1, 1, 1, 2]))) if adjacent else (r,)
+        terms[head + tail] = field.mul(field.of(draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))), scale)
+    return Cochain(field, terms)
+
+
+def _typed(c):
+    return {m: (v, type(v)) for m, v in c.terms.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_clustered_cochains(adjacent=True), st.sampled_from([2, 3]))
+def test_omega_map_is_omega_per_kept_monomial(c, floor):
+    """omega_map(c, floor) is sum c[m] omega(m[:-1], floor) over the
+    monomials m that reach no lower than e^floor and end in an adjacent
+    pair, value and coefficient type alike."""
+    f = c.field
+    want = Cochain(f)
+    for m, v in c.terms.items():
+        if m[0] >= floor and m[-1] == m[-2] + 1:
+            for mm, w in omega(m[:-1], f, floor).terms.items():
+                want.add_term(mm, f.mul(v, w))
+    assert _typed(omega_map(c, floor)) == _typed(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_clustered_cochains(adjacent=False))
+def test_d_minus1_is_the_wedge_expansion_per_monomial(c):
+    """d_minus1(c) is sum over the monomials xi ^ e^i of c of
+    sum_l (-1)^l D1^l(c[m] xi) ^ e^{i+1+l}, built with wedge, value and
+    coefficient type alike."""
+    f = c.field
+    want = Cochain(f)
+    for m, v in c.terms.items():
+        xi, l = Cochain.monomial(f, m[:-1], v), 0
+        while not xi.is_zero():
+            tail = Cochain.monomial(f, (m[-1] + 1 + l,), f.of(-1 if l % 2 else 1))
+            for mm, w in wedge(xi, tail).terms.items():
+                want.add_term(mm, w)
+            xi, l = d1_apply(xi), l + 1
+    got = d_minus1(c)
+    assert _typed(got) == _typed(want)
+    assert d1_apply(got) == c
+
+
 # --- leading terms ---------------------------------------------------------
 
 def test_leading_term():
@@ -268,6 +351,18 @@ def test_w_compiles_d2_and_d1_once_per_call(monkeypatch):
     assert len(compiled) <= 70
     d2 = [i for images, i in compiled if images is explicit._d2_images]
     assert d2 and len(d2) == len(set(d2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(3, 10), min_size=1, max_size=3, unique=True).map(sorted),
+       st.sampled_from([QQ, PrimeField(5)]))
+def test_w_sums_equal_the_stage_by_stage_wedges(indices, field):
+    """w_cocycle and d_minus2_class equal the sum over l of omega_map of
+    the wedge of (D2 + D1^2)^l(e^I) with e^{i_q+1+l} ^ e^{i_q+2+l}
+    (`w_oracle`), value and coefficient type alike."""
+    assert _typed(w_cocycle(indices, field)) == _typed(w_oracle.w_cocycle(indices, field))
+    assert _typed(d_minus2_class(indices, field)) == \
+        _typed(w_oracle.d_minus2_class(indices, field))
 
 
 def test_w4_truncates():

@@ -34,6 +34,14 @@ def test_rescaled_action_rules():
     assert act(mod, "Y", {1: QQ.one}) == {2: 2 * (LAM - 1)}
 
 
+@pytest.mark.parametrize("c", [{}, {2: QQ.one}])
+def test_an_unknown_generator_is_refused_even_on_zero(c):
+    """The generator is checked before the terms are read, so the zero
+    combination does not hide a misspelt name."""
+    with pytest.raises(ValueError, match="unknown generator"):
+        act(Sl2Module(LAM), "Z", c)
+
+
 def test_commutator_xy_is_h():
     mod = Sl2Module(LAM)
     for i in range(5):
