@@ -342,24 +342,25 @@ def map_matrix(field: Field, source, target, images) -> SparseMatrix:
     monomials: column j holds the coordinates of the image of source[j]
     in the monomial basis target.  images(i) lists (coefficient, strictly
     increasing index tuple) pairs, the image of e^i, as in `derive`.
-    Each column is written straight into the entries, adding only where
-    a row repeats; rows are found by their monomials' bitmasks."""
+    Each term is written straight into its row, found by its monomial's
+    bitmask, adding only where an entry repeats; a row that cancels goes."""
     f = field
-    row_index = {_mask(m): r for r, m in enumerate(target)}
-    entries: dict[tuple[int, int], object] = {}
+    rows: list[dict[int, object]] = [{} for _ in target]
+    row_of = {_mask(m): row for m, row in zip(target, rows)}
     terms = _compiled(images, f)
     for j, mono in enumerate(source):
         for m, v in _derived_terms(mono, terms):
-            key = (row_index[m], j)
-            prev = entries.get(key)
+            row = row_of[m]
+            prev = row.get(j)
             if prev is not None:
                 v = f.add(prev, v)
                 if f.is_zero(v):
-                    del entries[key]
+                    del row[j]
                     continue
-            entries[key] = v
-    return SparseMatrix._of_nonzero(field, len(target), len(source), entries,
-                                    row_labels=target, col_labels=source)
+            row[j] = v
+    return SparseMatrix._of_rows(field, len(target), len(source),
+                                 {r: row for r, row in enumerate(rows) if row},
+                                 row_labels=target, col_labels=source)
 
 
 @lru_cache(maxsize=None)

@@ -161,9 +161,10 @@ class _Weight:
         mono_basis = basis(self.alg, q, self.k)
         d_prev = self.d[q - 1]
         last = len(mono_basis) - 1
-        flipped = linalg.SparseMatrix(self.field, d_prev.cols, d_prev.rows,
-                                      {(c, last - r): v for (r, c), v in d_prev.entries.items()},
-                                      col_labels=mono_basis[::-1])
+        flipped_rows = {c: {last - r: v for r, v in row.items()}
+                        for c, row in d_prev.transpose().by_row.items()}
+        flipped = linalg.SparseMatrix._of_rows(self.field, d_prev.cols, d_prev.rows, flipped_rows,
+                                               col_labels=mono_basis[::-1])
         # the free column of a flipped kernel vector is its first monomial
         duals = {min(y): y for y in linalg.kernel_basis(flipped)}
         reps = tuple(Cochain(self.field, z) for z in kernel if max(z) in duals)

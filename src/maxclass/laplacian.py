@@ -36,13 +36,12 @@ def _stacked(alg: GradedAlgebra, q: int, k: int, field: Field) -> linalg.SparseM
     if field.characteristic != 0:
         raise FieldNotOrdered("Hodge pairing requires characteristic zero")
     d_q = _weight(alg, field, k).d[q]
-    rows, entries = d_q.rows, dict(d_q.entries)
+    rows, by_row = d_q.rows, dict(d_q.by_row)
     if q >= 1:
         d_prev = _weight(alg, field, k).d[q - 1]
-        entries.update({(rows + c, r): v for (r, c), v in d_prev.entries.items()})
+        by_row.update({rows + c: row for c, row in d_prev.transpose().by_row.items()})
         rows += d_prev.cols
-    return linalg.SparseMatrix._of_nonzero(field, rows, d_q.cols, entries,
-                                           col_labels=d_q.col_labels)
+    return linalg.SparseMatrix._of_rows(field, rows, d_q.cols, by_row, col_labels=d_q.col_labels)
 
 
 def laplacian_apply(alg: GradedAlgebra, c: Cochain) -> Cochain:

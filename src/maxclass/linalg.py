@@ -1,34 +1,26 @@
-"""Exact sparse linear algebra over Q and F_p.
+"""Exact sparse linear algebra over Q and F_p: rank, kernel bases and
+membership-in-image solving behind every cohomology dimension.
 
-Rank, kernel bases and membership-in-image solving: the brute-force
-oracle behind every cohomology dimension.  There is one elimination, in
-pure Python: a sparse row echelon form modulo a prime (rows taken
-bottom-up, latest leading column first, so that pivot rows stay short;
-pivot rows keyed by pivot column), with back substitution onto the free
-columns for the kernel vectors.  A solution of M u = v is read off the
-kernel of [M | v] (see solve_in_image).  Each row is reduced in a
-dense integer accumulator, reduced mod p only where an entry is read,
-with a bitmask of touched columns as the frontier (see _echelon).
-Over F_p it runs once, modulo p.  Over Q it is certified modular
-elimination: it runs on every row modulo each of some word-size
-primes, every RREF kernel vector is rebuilt by Chinese remaindering
-and rational reconstruction, and nothing is returned before an exact
-integer check of each of them (see _certified_kernel).  A
-capped pass (capped_pass) stops its one pass at a proven bound: the
-caller's, or the support of M (its nonzero rows or its nonzero
-columns, whichever are fewer), if that is lower.
-Over Q a pass that reaches its bound needs no check, since its count is
-certified.  That pass takes the rows in another order (see
-_triangular_first): one row for each leading column, then one for each
-last column not yet met, then the rest, so that few rows reduce to zero
-before its last pivot.  Every full pass keeps the bottom-up order: it
-meets every row anyway, and there the new order would only add fill-in.
+A SparseMatrix is stored by rows, the form elimination reads: a
+differential is assembled straight into them, and elimination sorts
+them without regrouping (see _rows).  There is one elimination, in pure
+Python: a sparse row echelon form modulo a prime, each row reduced in a
+dense integer accumulator (see _echelon), and back substitution onto the
+free columns for the kernel vectors; M u = v is solved through the
+kernel of [M | v].  Over F_p it runs once.  Over Q it runs modulo
+word-size primes, rebuilds every RREF kernel vector by Chinese
+remaindering and rational reconstruction, and checks each exactly before
+it returns (see _certified_kernel).  A full pass takes the rows
+bottom-up, latest leading column first, so that pivot rows stay short.
+A capped pass stops at a proven bound, where over Q its count needs no
+check, and takes the rows in the order of _triangular_first, which in a
+full pass would only add fill-in.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
+from itertools import chain, count
 from math import gcd, isqrt, lcm, prod
 
 from .fields import QQ, Field, _is_prime
@@ -41,50 +33,61 @@ class DimensionMismatch(ValueError):
 
 
 class SparseMatrix:
-    """Exact sparse matrix, a map (row, column) -> nonzero entry, with
-    optional monomial row/column labels.  It is eliminated (rank,
-    kernel_basis, solve_in_image), transposed and applied to a vector."""
+    """Exact sparse matrix stored by rows, a map row -> {column: nonzero
+    entry} with no empty row, and optional monomial row/column labels.
+    It is eliminated (rank, kernel_basis, solve_in_image), transposed and
+    applied to a vector.  The rows are read, never written, once built."""
 
     def __init__(self, field: Field, rows: int, cols: int,
                  entries: dict[tuple[int, int], object] | None = None,
                  row_labels=None, col_labels=None):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = {k: v for k, v in (entries or {}).items() if not field.is_zero(v)}
+        self.field, self.rows, self.cols = field, rows, cols
+        self.by_row: dict[int, dict[int, object]] = {}
+        for (r, c), v in (entries or {}).items():
+            if not field.is_zero(v):
+                self.by_row.setdefault(r, {})[c] = v
         self.row_labels = row_labels if row_labels is not None else list(range(rows))
         self.col_labels = col_labels if col_labels is not None else list(range(cols))
         if len(self.row_labels) != rows or len(self.col_labels) != cols:
             raise DimensionMismatch("label lengths do not match the shape")
 
     @classmethod
-    def _of_nonzero(cls, field: Field, rows: int, cols: int,
-                    entries: dict[tuple[int, int], object],
-                    row_labels=None, col_labels=None) -> "SparseMatrix":
-        """A matrix that keeps `entries` as it is: the caller has written
-        no zero entry, so none is filtered out."""
+    def _of_rows(cls, field: Field, rows: int, cols: int, by_row: dict[int, dict[int, object]],
+                 row_labels=None, col_labels=None) -> "SparseMatrix":
+        """A matrix that keeps `by_row` as it is: the caller has written
+        no zero entry and no empty row, so nothing is filtered out."""
         M = cls(field, rows, cols, None, row_labels, col_labels)
-        M.entries = entries
+        M.by_row = by_row
         return M
 
+    @property
+    def entries(self) -> dict[tuple[int, int], object]:
+        """(row, column) -> nonzero entry, rows in ascending order, derived
+        from the rows on every read."""
+        return {(r, c): v for r in sorted(self.by_row) for c, v in self.by_row[r].items()}
+
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix._of_nonzero(self.field, self.cols, self.rows,
-                                        {(c, r): v for (r, c), v in self.entries.items()},
-                                        row_labels=self.col_labels, col_labels=self.row_labels)
+        by_col: dict[int, dict] = {}
+        for r, row in self.by_row.items():
+            for c, v in row.items():
+                by_col.setdefault(c, {})[r] = v
+        return SparseMatrix._of_rows(self.field, self.cols, self.rows, by_col,
+                                     row_labels=self.col_labels, col_labels=self.row_labels)
 
     @cached_property
     def _columns(self) -> dict:
         """Column label -> (row label, entry, row label, entry, ...),
         built on first use; flat tuples keep it small."""
         by_col: list[list] = [[] for _ in range(self.cols)]
-        for (r, c), m in self.entries.items():
-            by_col[c] += (self.row_labels[r], m)
+        for r, row in self.by_row.items():
+            for c, m in row.items():
+                by_col[c] += (self.row_labels[r], m)
         return {lbl: tuple(by_col[c]) for c, lbl in enumerate(self.col_labels)}
 
     def apply(self, vec: dict) -> dict:
         """Matrix times a coefficient map keyed by column labels.  Only
         the columns in the vector's support are read, through a column
-        view built once per matrix on the first call; so `entries` must
+        view built once per matrix on the first call; so the rows must
         not change after construction."""
         f = self.field
         columns = self._columns
@@ -101,7 +104,7 @@ class SparseMatrix:
         return {lbl: v for lbl, v in out.items() if not f.is_zero(v)}
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.by_row
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} entries, {self.field!r})"
@@ -138,7 +141,7 @@ def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
     acc[j] -= v x, and an entry is reduced only when it is read as a
     candidate pivot or stored in a new pivot row.  Reducing by the pivot
     row of column c ORs in that row's precomputed mask of columns."""
-    ncols = 1 + max(map(max, filter(None, rows)), default=-1)
+    ncols = 1 + max(set().union(*rows), default=-1)
     acc = [0] * ncols
     pivots: dict[int, dict[int, int]] = {}     # each lacks its pivot entry 1 until the end
     masks: dict[int, int] = {}
@@ -277,25 +280,23 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int):
 
 
 def _rows(M: SparseMatrix) -> list[dict[int, int]]:
-    """The nonzero rows of M as integer maps keyed by column; over Q each
-    row is scaled by the lcm of its denominators.  One scan of the entry
-    types decides that scaling for the whole matrix: an all-int matrix,
-    the usual case, keeps its rows as they are.  Bottom-up order: the
-    latest leading (smallest) column first, the later row first on ties.
-    A pivot row then has few columns to the right of its pivot, and the
-    rows with early leading columns come last and are reduced by short
-    pivot rows."""
-    by_row: dict[int, dict[int, object]] = {}
-    for (r, c), v in M.entries.items():
-        by_row.setdefault(r, {})[c] = v
-    order = sorted(by_row, key=lambda r: (min(by_row[r]), r), reverse=True)
-    rows = [by_row[r] for r in order]
-    if M.field.characteristic == 0 and not set(map(type, M.entries.values())) <= {int}:
-        for row in rows:
-            den = lcm(*(v.denominator for v in row.values()))
-            for c, v in row.items():
-                row[c] = v.numerator * (den // v.denominator)
+    """The rows of M as integer maps keyed by column, in bottom-up order:
+    the latest leading (smallest) column first, the later row first on
+    ties, so that pivot rows have few columns right of their pivots.
+    They are the stored rows, except that over Q a row holding a Fraction
+    is replaced by a copy scaled by the lcm of its denominators."""
+    rows = [row for _, _, row in sorted([(min(row), r, row) for r, row in M.by_row.items()],
+                                        reverse=True)]
+    if M.field.characteristic == 0 and \
+            not set(map(type, chain.from_iterable(map(dict.values, rows)))) <= {int}:
+        rows = [row if all(type(v) is int for v in row.values()) else _scaled(row) for row in rows]
     return rows
+
+
+def _scaled(row: dict) -> dict[int, int]:
+    """A new integer row: row times the lcm of its denominators."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
 
 
 def _one_per(rows: list[dict[int, int]], column, met: set[int]):
@@ -350,15 +351,12 @@ def capped_pass(M: SparseMatrix, at_most: int) -> tuple[int, int]:
     rank_Q M <= at_most).  b is the least of at_most, the number of
     nonzero rows and the number of nonzero columns of M; the last two
     bound every rank, are read off the rows the pass takes, and count
-    the entries of M, not their residues.  The pass takes the rows with
-    distinct leading columns first, then those with distinct last
-    columns, then the rest (_triangular_first): each of the first two
-    groups is independent, so few rows reduce to zero before the last
-    pivot.  The pivot count does not depend on the order.  Over F_p it
-    is the rank, whether the pass stops at b or ends below it.  Over Q
-    a count equal to b is the rank, since rank_p <= rank_Q <= b; a
-    count below b is only a lower bound.  A wrong promise gives a wrong
-    rank."""
+    the entries of M, not their residues.  The pass takes the rows in the
+    order of _triangular_first; its pivot count does not depend on the
+    order.  Over F_p it is the rank, whether the pass stops at b or ends
+    below it.  Over Q a count equal to b is the rank, since rank_p <=
+    rank_Q <= b; a count below b is only a lower bound.  A wrong promise
+    gives a wrong rank."""
     rows = _rows(M)
     bound = min(at_most, len(rows), len(set().union(*rows)))
     p = M.field.characteristic or next(_primes())
@@ -386,14 +384,15 @@ def solve_in_image(M: SparseMatrix, v: dict):
     entry: the solution that is zero on the free columns of M."""
     f = M.field
     row_index = {lbl: r for r, lbl in enumerate(M.row_labels)}
-    entries = dict(M.entries)
+    by_row = dict(M.by_row)
     for lbl, val in v.items():
         if f.is_zero(val):
             continue
         if lbl not in row_index:
             raise DimensionMismatch(f"unknown row label {lbl!r}")
-        entries[(row_index[lbl], M.cols)] = val
-    pivots, vectors = _kernel(SparseMatrix._of_nonzero(f, M.rows, M.cols + 1, entries))
+        r = row_index[lbl]
+        by_row[r] = {**by_row.get(r, {}), M.cols: val}
+    pivots, vectors = _kernel(SparseMatrix._of_rows(f, M.rows, M.cols + 1, by_row))
     if M.cols in pivots:
         return None
     return {M.col_labels[c]: f.neg(x) for c, x in vectors[-1].items() if c != M.cols}

@@ -10,7 +10,9 @@ reference for the accumulator kernel, which must return the same
 pivot rows.  It also returns the rows that gave a pivot, which the
 engine does not keep, for tests that ask where a pass met them.
 `from_dense` and `to_dense` convert between a SparseMatrix and a list
-of rows.
+of rows, and `regrouped_rows` is the engine's earlier preparation of
+the rows of a matrix stored by entries: the reference for `_rows`,
+which sorts the stored rows instead.
 """
 from __future__ import annotations
 
@@ -35,6 +37,24 @@ def to_dense(M: SparseMatrix) -> list[list]:
     for (r, c), x in M.entries.items():
         dense[r][c] = x
     return dense
+
+
+def regrouped_rows(M: SparseMatrix) -> list[dict[int, int]]:
+    """The nonzero rows of M regrouped from its entries, as integer maps
+    keyed by column, over Q each row scaled by the lcm of its
+    denominators when any entry is a Fraction.  Bottom-up order: the
+    latest leading (smallest) column first, the later row first on ties."""
+    by_row: dict[int, dict[int, object]] = {}
+    for (r, c), v in M.entries.items():
+        by_row.setdefault(r, {})[c] = v
+    order = sorted(by_row, key=lambda r: (min(by_row[r]), r), reverse=True)
+    rows = [by_row[r] for r in order]
+    if M.field.characteristic == 0 and not set(map(type, M.entries.values())) <= {int}:
+        for row in rows:
+            den = lcm(*(v.denominator for v in row.values()))
+            for c, v in row.items():
+                row[c] = v.numerator * (den // v.denominator)
+    return rows
 
 
 def rank_int(rows: list[list[int]], ncols: int) -> int:

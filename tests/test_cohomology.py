@@ -721,6 +721,60 @@ def test_the_rescaled_truncation_has_fractional_coboundary_coefficients():
     assert fractional
 
 
+def test_readers_leave_the_cached_rows_as_they_are(monkeypatch):
+    """A cached d^q_k hands its stored rows to elimination: solve_in_image
+    adds the column v and _rows scales a row holding a Fraction, each on
+    a copy.  On the rescaled truncation, whose matrices hold Fractions,
+    Betti numbers, class bases, is_exact with and without a primitive,
+    class_coordinates, the Hodge kernels, and capped_pass, rank and
+    kernel_basis of each matrix leave every cached matrix as it was."""
+    from maxclass import laplacian
+    alg = CLASS_ALGEBRAS[-1]
+    _clear_caches(monkeypatch)
+    mats = {(q, k): cohomology._weight(alg, QQ, k).d[q] for q in range(-1, 5) for k in range(13)}
+
+    def typed(M):
+        return [(key, v, type(v)) for key, v in M.entries.items()]
+    before = {cell: typed(M) for cell, M in mats.items()}
+    assert any(type(v) is Fraction for M in mats.values() for v in M.entries.values())
+    primitives = 0
+    for q, k in [(q, k) for q in range(1, 4) for k in range(13)]:
+        reps = representatives(alg, q, k)
+        for r in reps:
+            assert class_coordinates(alg, r, [x.scaled(2) for x in reps], q, k) is not None
+            assert is_exact(alg, r) == (False, None)
+        for m in basis(alg, q - 1, k):
+            if not (b := differential(alg, Cochain.monomial(QQ, m))).is_zero():
+                primitives += is_exact(alg, b)[0]
+        laplacian.harmonic_basis(alg, q, k)
+    for M in mats.values():
+        if not M.is_zero():
+            linalg.capped_pass(M, M.cols), linalg.rank(M), linalg.kernel_basis(M)
+    assert primitives
+    assert all(cohomology._weight(alg, QQ, k).d[q] is M for (q, k), M in mats.items())
+    assert {cell: typed(M) for cell, M in mats.items()} == before
+
+
+def test_a_betti_table_never_reads_the_entries_view(monkeypatch):
+    """Betti numbers read each matrix by its stored rows: over full
+    tables, with every cache cleared, through capped passes over Q and
+    F_p and certified kernels, the derived `entries` of no matrix is
+    read."""
+    reads, certified = [], []
+    view, kernel = linalg.SparseMatrix.entries, linalg._certified_kernel
+    monkeypatch.setattr(linalg.SparseMatrix, "entries",
+                        property(lambda M: reads.append(M) or view.fget(M)))
+    monkeypatch.setattr(linalg, "_certified_kernel",
+                        lambda *args: certified.append(args) or kernel(*args))
+    _clear_caches(monkeypatch)
+    for name, field, qmax, kmax in (("l1", QQ, 4, 34), ("m2", QQ, 5, 30),
+                                    ("l1", PrimeField(2 ** 31 - 1), 3, 46),
+                                    ("m0", PrimeField(3), 4, 22)):
+        betti_table(preset(name), qmax, kmax, field)
+    assert certified and not reads
+    assert linalg.SparseMatrix(QQ, 1, 1, {(0, 0): 2}).entries == {(0, 0): 2} and len(reads) == 1
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
 @pytest.mark.parametrize("alg", CLASS_ALGEBRAS, ids=[a.name for a in CLASS_ALGEBRAS])
 def test_cell_order_and_cache_state_change_no_class_answer(alg, field, monkeypatch):

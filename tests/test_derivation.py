@@ -13,6 +13,7 @@ from maxclass.algebra import preset
 from maxclass.cochain import (Cochain, UnsortedImage, _generator_images, basis, derive,
                               differential, differential_matrix, map_matrix)
 from maxclass.fields import QQ, PrimeField
+from maxclass.linalg import capped_pass
 from maxclass.sl2 import Sl2Module, _x_coeff, wedge_basis, x_derivation_matrix
 
 FIELDS = [QQ, PrimeField(5)]
@@ -101,7 +102,9 @@ def test_x_derivation_matrix_equals_the_oracle_assembly(mod):
 def test_cancelled_terms_restart_from_zero():
     """A sum that cancels leaves its monomial, and a later term enters
     it afresh, after the other entries and with its own type; a zero
-    coefficient leaves no entry."""
+    coefficient leaves no entry.  A row whose terms all cancel leaves no
+    row behind, so the matrix with no other row is zero and a capped
+    pass over it takes no row."""
     half = QQ.of(1, 2)
     image = [(half, (2,)), (-half, (2,)), (0, (3,)), (3, (2,)), (1, (3,))]
     c = Cochain.monomial(QQ, (1,))
@@ -109,6 +112,12 @@ def test_cancelled_terms_restart_from_zero():
     M = map_matrix(QQ, [(1,)], [(2,), (3,)], lambda i: image)
     _same_matrix(M, oracle.assemble(QQ, [(1,)], [(2,), (3,)], lambda i: image))
     assert M.entries == {(0, 0): 3, (1, 0): 1} and type(M.entries[(0, 0)]) is int
+    for field in FIELDS:
+        cancelling = [(field.of(1, 2), (2,)), (field.of(-1, 2), (2,))]
+        M = map_matrix(field, [(1,)], [(2,), (3,)], lambda i: cancelling)
+        _same_matrix(M, oracle.assemble(field, [(1,)], [(2,), (3,)], lambda i: cancelling))
+        assert M.is_zero() and M.entries == {} and M.by_row == {}
+        assert capped_pass(M, 1) == (0, 0)
 
 
 def test_unsorted_image_tuple_is_refused():

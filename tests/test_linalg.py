@@ -516,6 +516,30 @@ def test_rows_over_q_scale_only_fractional_rows(dense, scaled, r):
     assert capped_pass(M, 4)[0] == rank(M) == oracle.rank_int(oracle.integer_rows(dense), 4) == r
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(5)]), st.data())
+def test_stored_rows_equal_the_regrouped_entries(field, data):
+    """The matrix is stored by rows: `entries` reads back the nonzero
+    entries it was built from, transposing twice gives them again, and
+    `_rows`, a sort of the stored rows, equals the regroup of `entries`
+    by row that the engine used before, row order included."""
+    m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    scalar = st.builds(field.of, st.integers(-3, 3), st.integers(1, 3))
+    entries = data.draw(st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                                        scalar))
+    nonzero = {key: v for key, v in entries.items() if not field.is_zero(v)}
+    M = SparseMatrix(field, m, n, entries)
+    assert M.entries == nonzero and M.is_zero() == (not nonzero)
+    assert all(M.by_row.values())
+    T = M.transpose()
+    assert T.entries == {(c, r): v for (r, c), v in nonzero.items()}
+    assert T.transpose().entries == nonzero
+    rows = linalg._rows(M)
+    assert rows == oracle.regrouped_rows(M)
+    assert all(type(v) is int for row in rows for v in row.values())
+    assert M.entries == nonzero
+
+
 @settings(max_examples=60, deadline=None)
 @given(permuted_matrices())
 def test_triangular_first_returns_every_row_once(case):
