@@ -6,14 +6,15 @@ combinations; the differential is dual to the bracket and extended by
 the graded Leibniz rule, so it preserves weight and raises degree by 1.
 
 Every derivation (the differential, interior products, the maps of the
-Dixmier sequence, the D1 rules, the sl(2) operator X) runs through one
-kernel, `_derived_terms`, on bitmask monomials: (m_1, ..., m_q) is the
-integer sum_j 1 << m_j.  A term vanishes on one AND, lands on one OR,
-and takes its Koszul sign from one popcount, (-1)^popcount(base & S),
-by the parity identity popcount(b & A) + popcount(b & B) =
-popcount(b & (A ^ B)) mod 2 (see `_derived_terms`).  Each image tuple
-is compiled to its mask and S once: per (algebra, field) for the
-differential, per call for any other map.
+Dixmier sequence, the D1 rules, the sl(2) operator X) runs one kernel,
+the loop of `_derived_terms` (run in place by `map_matrix`), on bitmask
+monomials: (m_1, ..., m_q) is the integer sum_j 1 << m_j.  A term
+vanishes on one AND, lands on one OR, and takes its Koszul sign from
+one popcount, (-1)^popcount(base & S), by the parity identity
+popcount(b & A) + popcount(b & B) = popcount(b & (A ^ B)) mod 2 (see
+`_derived_terms`).  Each image tuple is compiled to its mask and S
+once: per (algebra, field) for the differential, per call for any
+other map.
 """
 from __future__ import annotations
 
@@ -343,21 +344,29 @@ def map_matrix(field: Field, source, target, images) -> SparseMatrix:
     in the monomial basis target.  images(i) lists (coefficient, strictly
     increasing index tuple) pairs, the image of e^i, as in `derive`.
     Each term is written straight into its row, found by its monomial's
-    bitmask, adding only where an entry repeats; a row that cancels goes."""
+    bitmask, adding only where an entry repeats; a row that cancels goes.
+    The loop of `_derived_terms` runs here in place, a column at a time,
+    so each row lists its columns in ascending order."""
     f = field
     rows: list[dict[int, object]] = [{} for _ in target]
     row_of = {_mask(m): row for m, row in zip(target, rows)}
     terms = _compiled(images, f)
     for j, mono in enumerate(source):
-        for m, v in _derived_terms(mono, terms):
-            row = row_of[m]
-            prev = row.get(j)
-            if prev is not None:
-                v = f.add(prev, v)
-                if f.is_zero(v):
-                    del row[j]
+        mm = _mask(mono)
+        for i in mono:
+            base = mm ^ (1 << i)
+            for mask, S, vs in terms[i]:
+                if base & mask:
                     continue
-            row[j] = v
+                row = row_of[base | mask]
+                v = vs[(base & S).bit_count() & 1]
+                prev = row.get(j)
+                if prev is not None:
+                    v = f.add(prev, v)
+                    if f.is_zero(v):
+                        del row[j]
+                        continue
+                row[j] = v
     return SparseMatrix._of_rows(field, len(target), len(source),
                                  {r: row for r, row in enumerate(rows) if row},
                                  row_labels=target, col_labels=source)

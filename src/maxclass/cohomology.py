@@ -161,7 +161,7 @@ class _Weight:
         mono_basis = basis(self.alg, q, self.k)
         d_prev = self.d[q - 1]
         last = len(mono_basis) - 1
-        flipped_rows = {c: {last - r: v for r, v in row.items()}
+        flipped_rows = {c: {last - r: v for r, v in reversed(row.items())}
                         for c, row in d_prev.transpose().by_row.items()}
         flipped = linalg.SparseMatrix._of_rows(self.field, d_prev.cols, d_prev.rows, flipped_rows,
                                                col_labels=mono_basis[::-1])

@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over Q and F_p: rank, kernel bases and
 membership-in-image solving behind every cohomology dimension.
 
-A SparseMatrix is stored by rows, the form elimination reads: a
-differential is assembled straight into them, and elimination sorts
-them without regrouping (see _rows).  There is one elimination, in pure
+A SparseMatrix is stored by rows, the form elimination reads, each
+listing its columns in ascending order: a differential is assembled
+straight into them, and elimination sorts them by their first keys
+without regrouping (see _rows).  There is one elimination, in pure
 Python: a sparse row echelon form modulo a prime, each row reduced in a
 dense integer accumulator (see _echelon), and back substitution onto the
 free columns for the kernel vectors; M u = v is solved through the
@@ -23,7 +24,7 @@ from functools import cached_property
 from itertools import chain, count
 from math import gcd, isqrt, lcm, prod
 
-from .fields import QQ, Field, _is_prime
+from .fields import Field, _is_prime
 
 BACKEND = "python"
 
@@ -36,14 +37,17 @@ class SparseMatrix:
     """Exact sparse matrix stored by rows, a map row -> {column: nonzero
     entry} with no empty row, and optional monomial row/column labels.
     It is eliminated (rank, kernel_basis, solve_in_image), transposed and
-    applied to a vector.  The rows are read, never written, once built."""
+    applied to a vector.  The rows are read, never written, once built,
+    and each lists its columns in ascending order: the constructor sorts
+    its entries, `transpose` walks the rows in order, and `map_matrix`
+    and `solve_in_image` write the columns in turn."""
 
     def __init__(self, field: Field, rows: int, cols: int,
                  entries: dict[tuple[int, int], object] | None = None,
                  row_labels=None, col_labels=None):
         self.field, self.rows, self.cols = field, rows, cols
         self.by_row: dict[int, dict[int, object]] = {}
-        for (r, c), v in (entries or {}).items():
+        for (r, c), v in sorted((entries or {}).items()):
             if not field.is_zero(v):
                 self.by_row.setdefault(r, {})[c] = v
         self.row_labels = row_labels if row_labels is not None else list(range(rows))
@@ -55,7 +59,7 @@ class SparseMatrix:
     def _of_rows(cls, field: Field, rows: int, cols: int, by_row: dict[int, dict[int, object]],
                  row_labels=None, col_labels=None) -> "SparseMatrix":
         """A matrix that keeps `by_row` as it is: the caller has written
-        no zero entry and no empty row, so nothing is filtered out."""
+        no zero entry, no empty row and no column out of order."""
         M = cls(field, rows, cols, None, row_labels, col_labels)
         M.by_row = by_row
         return M
@@ -68,8 +72,8 @@ class SparseMatrix:
 
     def transpose(self) -> "SparseMatrix":
         by_col: dict[int, dict] = {}
-        for r, row in self.by_row.items():
-            for c, v in row.items():
+        for r in sorted(self.by_row):
+            for c, v in self.by_row[r].items():
                 by_col.setdefault(c, {})[r] = v
         return SparseMatrix._of_rows(self.field, self.cols, self.rows, by_col,
                                      row_labels=self.col_labels, col_labels=self.row_labels)
@@ -203,8 +207,8 @@ def _reduce(pivots: dict[int, dict[int, int]], p: int, free: set[int]):
 
 
 def _rational(u: int, m: int, bound: int) -> int | Fraction | None:
-    """The fraction a/b = u mod m with |a|, b <= bound, if there is one;
-    an int when b = 1."""
+    """Minus the fraction a/b = u mod m with |a|, b <= bound, if there is
+    one, built once: an int when b = 1, else a Fraction."""
     r0, r1, t0, t1 = m, u, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -212,8 +216,8 @@ def _rational(u: int, m: int, bound: int) -> int | Fraction | None:
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
     if t1 == 1 or t1 == -1:
-        return r1 * t1
-    return QQ.of(r1, t1)
+        return -r1 * t1
+    return Fraction(-r1, t1)
 
 
 def _certified_kernel(rows: list[dict[int, int]], ncols: int):
@@ -268,7 +272,7 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int):
             x = _rational(u, modulus, bound)
             if x is None:
                 break
-            vectors[f][c] = -x
+            vectors[f][c] = x
         else:
             if all(annihilated(vec) for vec in vectors.values()):
                 return key[1], list(vectors.values())
@@ -281,11 +285,11 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int):
 
 def _rows(M: SparseMatrix) -> list[dict[int, int]]:
     """The rows of M as integer maps keyed by column, in bottom-up order:
-    the latest leading (smallest) column first, the later row first on
-    ties, so that pivot rows have few columns right of their pivots.
+    the latest leading column (its first key) first, the later row first
+    on ties, so that pivot rows have few columns right of their pivots.
     They are the stored rows, except that over Q a row holding a Fraction
     is replaced by a copy scaled by the lcm of its denominators."""
-    rows = [row for _, _, row in sorted([(min(row), r, row) for r, row in M.by_row.items()],
+    rows = [row for _, _, row in sorted([(next(iter(row)), r, row) for r, row in M.by_row.items()],
                                         reverse=True)]
     if M.field.characteristic == 0 and \
             not set(map(type, chain.from_iterable(map(dict.values, rows)))) <= {int}:
@@ -299,12 +303,11 @@ def _scaled(row: dict) -> dict[int, int]:
     return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
 
 
-def _one_per(rows: list[dict[int, int]], column, met: set[int]):
-    """The first row for each value of column(row) not in `met`, and the
-    other rows, both in the given order; `met` gains the new values."""
+def _one_per(rows: list[dict[int, int]], columns, met: set[int]):
+    """The first row for each of its `columns` not in `met`, and the
+    other rows, both in the given order; `met` gains the new columns."""
     chosen, others = [], []
-    for row in rows:
-        c = column(row)
+    for c, row in zip(columns, rows):
         if c in met:
             others.append(row)
         else:
@@ -316,12 +319,14 @@ def _one_per(rows: list[dict[int, int]], column, met: set[int]):
 def _triangular_first(rows: list[dict[int, int]]) -> list[dict[int, int]]:
     """The rows regrouped for a capped pass: one row for each leading
     column, then one row for each last column not yet met, then the
-    rest, each group in the given order.  Rows with distinct leading (or
-    last) columns form a triangular block with a nonzero diagonal, so
-    the pass meets most of its pivots before any row that reduces to
-    zero (structural pivots: Faugère & Lachartre, PASCO 2010)."""
-    leading, rest = _one_per(rows, min, set())
-    last, rest = _one_per(rest, max, {max(row) for row in leading})
+    rest, each group in the given order; a row's leading and last columns
+    are its first and last keys.  Rows with distinct leading (or last)
+    columns form a triangular block with a nonzero diagonal, so the pass
+    meets most of its pivots before any row that reduces to zero
+    (structural pivots: Faugère & Lachartre, PASCO 2010)."""
+    leading, rest = _one_per(rows, map(next, map(iter, rows)), set())
+    last, rest = _one_per(rest, map(next, map(reversed, rest)),
+                          set(map(next, map(reversed, leading))))
     return leading + last + rest
 
 
@@ -351,12 +356,12 @@ def capped_pass(M: SparseMatrix, at_most: int) -> tuple[int, int]:
     rank_Q M <= at_most).  b is the least of at_most, the number of
     nonzero rows and the number of nonzero columns of M; the last two
     bound every rank, are read off the rows the pass takes, and count
-    the entries of M, not their residues.  The pass takes the rows in the
-    order of _triangular_first; its pivot count does not depend on the
-    order.  Over F_p it is the rank, whether the pass stops at b or ends
-    below it.  Over Q a count equal to b is the rank, since rank_p <=
-    rank_Q <= b; a count below b is only a lower bound.  A wrong promise
-    gives a wrong rank."""
+    the entries of M, not their residues.  The pass takes the rows sorted
+    and regrouped on their first and last keys (_rows, _triangular_first);
+    its pivot count does not depend on the order.  Over F_p it is the
+    rank, whether the pass stops at b or ends below it.  Over Q a count
+    equal to b is the rank, since rank_p <= rank_Q <= b; a count below b
+    is only a lower bound.  A wrong promise gives a wrong rank."""
     rows = _rows(M)
     bound = min(at_most, len(rows), len(set().union(*rows)))
     p = M.field.characteristic or next(_primes())

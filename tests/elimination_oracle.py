@@ -12,7 +12,10 @@ engine does not keep, for tests that ask where a pass met them.
 `from_dense` and `to_dense` convert between a SparseMatrix and a list
 of rows, and `regrouped_rows` is the engine's earlier preparation of
 the rows of a matrix stored by entries: the reference for `_rows`,
-which sorts the stored rows instead.
+which sorts the stored rows instead.  `triangular_first` is the
+engine's earlier regroup for a capped pass, which took each row's min
+and max: the reference for `_triangular_first`, which reads a row's
+first and last key instead.
 """
 from __future__ import annotations
 
@@ -55,6 +58,29 @@ def regrouped_rows(M: SparseMatrix) -> list[dict[int, int]]:
             for c, v in row.items():
                 row[c] = v.numerator * (den // v.denominator)
     return rows
+
+
+def _one_per(rows: list[dict[int, int]], column, met: set[int]):
+    """The first row for each value of column(row) not in `met`, and the
+    other rows, both in the given order; `met` gains the new values."""
+    chosen, others = [], []
+    for row in rows:
+        c = column(row)
+        if c in met:
+            others.append(row)
+        else:
+            met.add(c)
+            chosen.append(row)
+    return chosen, others
+
+
+def triangular_first(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The rows regrouped for a capped pass: one row for each leading
+    (smallest) column, then one row for each last (largest) column not
+    yet met, then the rest, each group in the given order."""
+    leading, rest = _one_per(rows, min, set())
+    last, rest = _one_per(rest, max, {max(row) for row in leading})
+    return leading + last + rest
 
 
 def rank_int(rows: list[list[int]], ncols: int) -> int:

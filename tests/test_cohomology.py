@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -753,6 +754,44 @@ def test_readers_leave_the_cached_rows_as_they_are(monkeypatch):
     assert primitives
     assert all(cohomology._weight(alg, QQ, k).d[q] is M for (q, k), M in mats.items())
     assert {cell: typed(M) for cell, M in mats.items()} == before
+
+
+def test_every_constructor_lists_each_row_in_ascending_columns(monkeypatch):
+    """Each stored row lists its columns in ascending order, so a capped
+    pass reads a row's leading and last column as its first and last
+    key.  Recorded from every constructor in the package: map_matrix (d
+    and the sl(2) operator X), transpose, the flipped d^{q-1}_k of a
+    class basis, the Hodge matrix, the [M | v] of solve_in_image, and the
+    constructor from entries (class_rank, class_coordinates)."""
+    from maxclass import laplacian, sl2
+    built = []
+    init = linalg.SparseMatrix.__init__
+
+    def recorded(M, *args, **kwargs):
+        init(M, *args, **kwargs)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_of_rows":
+            caller = caller.f_back
+        built.append((caller.f_code.co_name, M))
+
+    monkeypatch.setattr(linalg.SparseMatrix, "__init__", recorded)
+    _clear_caches(monkeypatch)
+    alg = CLASS_ALGEBRAS[-1]
+    for q, k in [(q, k) for q in range(1, 4) for k in range(13)]:
+        reps = representatives(alg, q, k)
+        scaled = [x.scaled(2) for x in reps]
+        assert class_rank(alg, scaled, q, k) == len(reps)
+        assert all(class_coordinates(alg, r, scaled, q, k) is not None for r in reps)
+        for m in basis(alg, q - 1, k)[:2]:
+            b = differential(alg, Cochain.monomial(QQ, m))
+            assert b.is_zero() or is_exact(alg, b)[0]
+        laplacian.harmonic_basis(alg, q, k)
+        laplacian.laplacian_apply(alg, Cochain(QQ, {m: 1 for m in basis(alg, q, k)}))
+    sl2.primitive_basis(sl2.Sl2Module(Fraction(1, 2)), 3, 12)
+    assert {name for name, _ in built} == {"map_matrix", "transpose", "_class_basis", "_stacked",
+                                           "solve_in_image", "class_rank", "class_coordinates"}
+    for name, M in built:
+        assert all(list(row) == sorted(row) for row in M.by_row.values()), name
 
 
 def test_a_betti_table_never_reads_the_entries_view(monkeypatch):

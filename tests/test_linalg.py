@@ -1,5 +1,6 @@
 import signal
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,6 +317,28 @@ def test_dropped_prime_is_not_mixed(monkeypatch):
     assert list(kernel_basis(M)) == [{1: Fraction(1), 0: Fraction(b, a)}]
 
 
+def test_rational_returns_the_negated_entry():
+    """Modulo the prime m = 2003, with bound 31 (2 * 31^2 < m), each
+    residue is a/b for at most one reduced a/b with |a|, b <= 31;
+    `_rational` returns -a/b for it, an int when b = 1 and otherwise a
+    Fraction, and None for a residue that has none."""
+    m = 2003
+    bound = isqrt(m // 2)
+    fractions = {a * pow(b, -1, m) % m: Fraction(a, b)
+                 for a in range(-bound, bound + 1) for b in range(1, bound + 1) if gcd(a, b) == 1}
+    assert len(fractions) < m
+    for u in range(m):
+        x = linalg._rational(u, m, bound)
+        if u not in fractions:
+            assert x is None, u
+            continue
+        assert x == -fractions[u], u
+        if fractions[u].denominator == 1:
+            assert type(x) is int, u
+        else:
+            assert type(x) is Fraction and gcd(x.numerator, x.denominator) == 1, u
+
+
 def test_certification_error_when_primes_run_out(monkeypatch):
     """Modulo 3 the pivots of [[3, 1, 0], [6, 2, 1]] are wrong and the
     exact check fails; with no prime left the engine must say so."""
@@ -519,14 +542,17 @@ def test_rows_over_q_scale_only_fractional_rows(dense, scaled, r):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from([QQ, PrimeField(5)]), st.data())
 def test_stored_rows_equal_the_regrouped_entries(field, data):
-    """The matrix is stored by rows: `entries` reads back the nonzero
-    entries it was built from, transposing twice gives them again, and
-    `_rows`, a sort of the stored rows, equals the regroup of `entries`
-    by row that the engine used before, row order included."""
+    """The matrix is stored by rows, each listing its columns in
+    ascending order whatever the order of the entries it was built from:
+    `entries` reads those entries back, transposing keeps the order and
+    gives them again, and `_rows`, a sort of the stored rows, equals the
+    regroup of `entries` by row that the engine used before, row order
+    included."""
     m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     scalar = st.builds(field.of, st.integers(-3, 3), st.integers(1, 3))
     entries = data.draw(st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
                                         scalar))
+    entries = dict(data.draw(st.permutations(list(entries.items()))))
     nonzero = {key: v for key, v in entries.items() if not field.is_zero(v)}
     M = SparseMatrix(field, m, n, entries)
     assert M.entries == nonzero and M.is_zero() == (not nonzero)
@@ -535,19 +561,28 @@ def test_stored_rows_equal_the_regrouped_entries(field, data):
     assert T.entries == {(c, r): v for (r, c), v in nonzero.items()}
     assert T.transpose().entries == nonzero
     rows = linalg._rows(M)
+    for A in (M, T, T.transpose()):
+        assert all(list(row) == sorted(row) for row in A.by_row.values())
+    assert all(list(row) == sorted(row) for row in rows)
     assert rows == oracle.regrouped_rows(M)
     assert all(type(v) is int for row in rows for v in row.values())
     assert M.entries == nonzero
+
+
+def _same_regroup(rows):
+    """`_triangular_first`, which reads each row's first and last key,
+    returns the same rows in the same order as the regroup on each row's
+    min and max, and every row once."""
+    regrouped = linalg._triangular_first(rows)
+    assert list(map(id, regrouped)) == list(map(id, oracle.triangular_first(rows)))
+    assert sorted(map(id, regrouped)) == sorted(map(id, rows))
 
 
 @settings(max_examples=60, deadline=None)
 @given(permuted_matrices())
 def test_triangular_first_returns_every_row_once(case):
     field, dense, perm = case
-    rows = linalg._rows(oracle.from_dense(field, [dense[r] for r in perm]))
-    regrouped = linalg._triangular_first(rows)
-    assert len(regrouped) == len(rows)
-    assert sorted(map(id, regrouped)) == sorted(map(id, rows))
+    _same_regroup(linalg._rows(oracle.from_dense(field, [dense[r] for r in perm])))
 
 
 def _zero_rows_before_the_last_pivot(M, at_most, monkeypatch):
@@ -573,10 +608,12 @@ def _zero_rows_before_the_last_pivot(M, at_most, monkeypatch):
 @pytest.mark.parametrize("field, q, k", [(PrimeField(2 ** 31 - 1), 3, 46), (QQ, 4, 40)],
                          ids=["l1-3-46-fp", "l1-4-40-qq"])
 def test_capped_pass_meets_few_zero_rows_before_its_last_pivot(field, q, k, monkeypatch):
-    """The capped pass takes the triangular blocks first; in bottom-up
-    order alone it met 327 and 164 zero rows here."""
+    """The capped pass takes the triangular blocks first, regrouped as on
+    each row's min and max; in bottom-up order alone it met 327 and 164
+    zero rows here."""
     l1 = preset("l1")
     d = differential_matrix(l1, q, k, field)
+    _same_regroup(linalg._rows(d))
     at_most = d.cols - rank(differential_matrix(l1, q - 1, k, field))
     assert _zero_rows_before_the_last_pivot(d, at_most, monkeypatch) <= 10
 
