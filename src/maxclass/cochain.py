@@ -6,15 +6,15 @@ combinations; the differential is dual to the bracket and extended by
 the graded Leibniz rule, so it preserves weight and raises degree by 1.
 
 Every derivation (the differential, interior products, the maps of the
-Dixmier sequence, the D1 rules, the sl(2) operator X) runs one kernel,
-the loop of `_derived_terms` (run in place by `map_matrix`), on bitmask
-monomials: (m_1, ..., m_q) is the integer sum_j 1 << m_j.  A term
-vanishes on one AND, lands on one OR, and takes its Koszul sign from
-one popcount, (-1)^popcount(base & S), by the parity identity
-popcount(b & A) + popcount(b & B) = popcount(b & (A ^ B)) mod 2 (see
-`_derived_terms`).  Each image tuple is compiled to its mask and S
-once: per (algebra, field) for the differential, per call for any
-other map.
+Dixmier sequence, the D1 rules, the sl(2) operator X) runs one loop,
+`_derived_rows`, on bitmask monomials: (m_1, ..., m_q) is the integer
+sum_j 1 << m_j.  A term vanishes on one AND, lands on one OR, and takes
+its Koszul sign from one popcount, (-1)^popcount(base & S).  The loop
+returns rows, target mask -> {source index: coefficient}: `map_matrix`
+orders them by its target basis, and `derive` sums each against the
+coefficients of a cochain.  Each image tuple is compiled to its mask
+and S once: per (algebra, field) for the differential, per call for
+any other map.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from itertools import accumulate
 
 from .algebra import GradedAlgebra
 from .fields import QQ, Field
-from .linalg import SparseMatrix
+from .linalg import DimensionMismatch, SparseMatrix
 
 Monomial = tuple[int, ...]
 
@@ -231,7 +231,7 @@ def _indices(mask: int) -> Monomial:
 
 class _Compiled(dict):
     """An image map over one field with its images compiled for
-    `_derived_terms`: calling it gives images(i), and self[i] is the
+    `_derived_rows`: calling it gives images(i), and self[i] is the
     image of e^i compiled on first use and kept as long as self.
 
     A nonzero coefficient v with a strictly increasing tuple
@@ -272,7 +272,7 @@ class _Compiled(dict):
 
 
 def _compiled(images, field: Field) -> _Compiled:
-    """An image map compiled for `_derived_terms`: itself if it already is
+    """An image map compiled for `_derived_rows`: itself if it already is
     one over this field (the differential's, see `_generator_images`),
     else compiled for this call."""
     if isinstance(images, _Compiled) and images.field == field:
@@ -280,32 +280,51 @@ def _compiled(images, field: Field) -> _Compiled:
     return _Compiled(images, field)
 
 
-def _derived_terms(mono, terms):
-    """The terms of a derivation on one monomial, as (mask, coefficient):
-    mask is the target monomial's bitmask and the coefficient is v or -v
-    for an image coefficient v.  `terms` is a `_Compiled` image map.
+def _derived_rows(field: Field, source, terms) -> dict[int, dict[int, object]]:
+    """The derivation with compiled images `terms` (a `_Compiled` map) on
+    the monomials source[j], as rows: target bitmask -> {j: coefficient},
+    j ascending.  An entry that cancels leaves its row, and a row that
+    empties goes.
 
-    Position t of mono, holding index i, is replaced by each image tuple
-    x_1 < ... < x_r of e^i.  With base = mask(mono) ^ (1 << i), the
-    bitmask of the other indices, the term vanishes iff base & mask
-    (some x_j is among them); otherwise its target is base | mask and
-    its sign is (-1)^(t + sum_j pos_j), where pos_j = popcount(base &
-    below(x_j)) is the place of x_j among the other indices and
-    t = popcount(base & below(i)): moving e^i to the front costs
-    (-1)^t, and merging the tuple in costs (-1)^(sum_j pos_j).  Since
-    popcount(b & A) + popcount(b & B) = popcount(b & (A ^ B)) mod 2,
-    that sign is (-1)^popcount(base & S) for the one compiled S.  It is
-    the permutation sign of head + tuple + tail times the Koszul sign
+    Position t of a monomial, holding index i, is replaced by each image
+    tuple x_1 < ... < x_r of e^i.  With base = mask(mono) ^ (1 << i), the
+    bitmask of the other indices, the term vanishes iff base & mask (some
+    x_j is among them); otherwise its target is base | mask and its sign
+    is (-1)^(t + sum_j pos_j), where pos_j = popcount(base & below(x_j))
+    is the place of x_j among the other indices and t = popcount(base &
+    below(i)): moving e^i to the front costs (-1)^t, and merging the
+    tuple in costs (-1)^(sum_j pos_j).  Since popcount(b & A) +
+    popcount(b & B) = popcount(b & (A ^ B)) mod 2, that sign is
+    (-1)^popcount(base & S) for the one compiled S.  It is the
+    permutation sign of head + tuple + tail times the Koszul sign
     (-1)^(t * (r - 1)): none for an even derivation (1-tuples), (-1)^t
     for the differential (pairs) and for the interior product (the empty
     tuple).  A tuple not strictly increasing raises UnsortedImage when
     its e^i is compiled (see `_Compiled`)."""
-    mm = _mask(mono)
-    for i in mono:
-        base = mm ^ (1 << i)
-        for mask, S, vs in terms[i]:
-            if not base & mask:
-                yield base | mask, vs[(base & S).bit_count() & 1]
+    rows: dict[int, dict[int, object]] = {}
+    for j, mono in enumerate(source):
+        mm = _mask(mono)
+        for i in mono:
+            base = mm ^ (1 << i)
+            for mask, S, vs in terms[i]:
+                if base & mask:
+                    continue
+                target = base | mask
+                v = vs[(base & S).bit_count() & 1]
+                row = rows.get(target)
+                if row is None:
+                    rows[target] = {j: v}
+                    continue
+                prev = row.get(j)
+                if prev is not None:
+                    v = field.add(prev, v)
+                    if field.is_zero(v):
+                        del row[j]
+                        if not row:
+                            del rows[target]
+                        continue
+                row[j] = v
+    return rows
 
 
 def derive(c: Cochain, images) -> Cochain:
@@ -315,27 +334,24 @@ def derive(c: Cochain, images) -> Cochain:
     each tuple strictly increasing; coefficients are field elements (the
     integer 1 is one in every field).  Each position of each monomial is
     replaced in turn by each image tuple with the sign of
-    `_derived_terms`.  A `_Compiled` map over the same field is used as
-    it is, so a caller that passes one to many calls compiles each
-    image once (as `_generator_images` does for d per (algebra, field),
-    and `explicit` for D1 and D2 per public call); a plain callable is
-    compiled for this call only.  A sum that cancels is dropped where it
-    arises, and a product of nonzero field elements is nonzero, so the
-    result keeps its terms unfiltered."""
+    `_derived_rows`, and each row is summed against the coefficients of
+    c.  A `_Compiled` map over the same field is used as it is, so a
+    caller that passes one to many calls compiles each image once (as
+    `_generator_images` does for d per (algebra, field), and `explicit`
+    for D1 and D2 per public call); a plain callable is compiled for
+    this call only."""
     f = c.field
-    terms = _compiled(images, f)
-    out: dict[int, object] = {}
-    for mono, coeff in c.terms.items():
-        for m, v in _derived_terms(mono, terms):
-            term = f.mul(coeff, v)
-            prev = out.get(m)
-            if prev is not None:
-                term = f.add(prev, term)
-                if f.is_zero(term):
-                    del out[m]
-                    continue
-            out[m] = term
-    return Cochain._of_nonzero(f, {_indices(m): v for m, v in out.items()})
+    coeffs = list(c.terms.values())
+    out: dict[Monomial, object] = {}
+    for m, row in _derived_rows(f, c.terms, _compiled(images, f)).items():
+        entries = iter(row.items())
+        j, v = next(entries)
+        total = f.mul(coeffs[j], v)
+        for j, v in entries:
+            total = f.add(total, f.mul(coeffs[j], v))
+        if not f.is_zero(total):
+            out[_indices(m)] = total
+    return Cochain._of_nonzero(f, out)
 
 
 def map_matrix(field: Field, source, target, images) -> SparseMatrix:
@@ -343,32 +359,14 @@ def map_matrix(field: Field, source, target, images) -> SparseMatrix:
     monomials: column j holds the coordinates of the image of source[j]
     in the monomial basis target.  images(i) lists (coefficient, strictly
     increasing index tuple) pairs, the image of e^i, as in `derive`.
-    Each term is written straight into its row, found by its monomial's
-    bitmask, adding only where an entry repeats; a row that cancels goes.
-    The loop of `_derived_terms` runs here in place, a column at a time,
-    so each row lists its columns in ascending order."""
-    f = field
-    rows: list[dict[int, object]] = [{} for _ in target]
-    row_of = {_mask(m): row for m, row in zip(target, rows)}
-    terms = _compiled(images, f)
-    for j, mono in enumerate(source):
-        mm = _mask(mono)
-        for i in mono:
-            base = mm ^ (1 << i)
-            for mask, S, vs in terms[i]:
-                if base & mask:
-                    continue
-                row = row_of[base | mask]
-                v = vs[(base & S).bit_count() & 1]
-                prev = row.get(j)
-                if prev is not None:
-                    v = f.add(prev, v)
-                    if f.is_zero(v):
-                        del row[j]
-                        continue
-                row[j] = v
-    return SparseMatrix._of_rows(field, len(target), len(source),
-                                 {r: row for r, row in enumerate(rows) if row},
+    The rows of `_derived_rows` are taken in the order of target, each
+    listing its columns in ascending order; an image term outside
+    target that does not cancel raises DimensionMismatch."""
+    rows = _derived_rows(field, source, _compiled(images, field))
+    by_row = {r: rows.pop(m) for r, m in enumerate(map(_mask, target)) if m in rows}
+    if rows:
+        raise DimensionMismatch(f"image {_indices(next(iter(rows)))} is outside the target")
+    return SparseMatrix._of_rows(field, len(target), len(source), by_row,
                                  row_labels=target, col_labels=source)
 
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -236,15 +235,13 @@ def _check_field(field: Field, cochains) -> None:
 
 def _coordinates(functionals: dict, c: Cochain) -> dict[int, object]:
     """The nonzero class coordinates of a cocycle c, keyed by the index
-    of the representative (see _Weight._class_basis); over Q an integral one is
-    an int."""
+    of the representative (see _Weight._class_basis)."""
     f = c.field
     out: dict[int, object] = {}
     for m, v in c.terms.items():
         for i, y in functionals.get(m, ()):
             out[i] = f.add(out.get(i, f.zero), f.mul(v, y))
-    return {i: f.from_rational(x) if type(x) is Fraction else x
-            for i, x in out.items() if not f.is_zero(x)}
+    return {i: x for i, x in out.items() if not f.is_zero(x)}
 
 
 def representatives(alg: GradedAlgebra, q: int, k: int,

@@ -1,10 +1,12 @@
 """Exact field arithmetic over Q and prime fields F_p.
 
 Scalars are plain Python values.  Over Q a scalar is an ``int`` when it
-is integral and a ``fractions.Fraction`` otherwise: ``of`` and
-``from_rational`` return an ``int`` for an integral value, add, neg and
-mul keep two ints an int, and the one division ``of(n, d)`` goes
-through ``Fraction``, so no ``/`` between two ints ever makes a float.
+is integral and a ``fractions.Fraction`` otherwise, so its type follows
+from its value alone: ``of``, ``from_rational``, ``add`` and ``mul``
+return an ``int`` for an integral value (``add`` and ``mul`` turn an
+integral ``Fraction`` result into its numerator), ``neg`` keeps the
+form, and the one division ``of(n, d)`` goes through ``Fraction``, so
+no ``/`` between two ints ever makes a float.
 Over F_p a scalar is an integer residue in [0, p).  A ``Field`` object
 carries the operations, so all other modules stay field-agnostic.
 """
@@ -82,10 +84,12 @@ class Rationals(Field):
         return fr.numerator if fr.denominator == 1 else fr
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a

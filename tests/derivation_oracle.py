@@ -5,7 +5,7 @@ Each term is written out as head + new + tail, sorted by insertion sort
 with its permutation sign (`sort_with_sign`), given the Koszul sign
 (-1)^(t * (len(new) - 1)) and added through `Cochain.add_term`; the
 matrix is assembled from one Cochain per source column.  Slow and
-simple, it is the oracle the bitmask kernel `_derived_terms`, which signs
+simple, it is the oracle the bitmask loop `_derived_rows`, which signs
 each term with one popcount, is compared against.
 """
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The bitmask derivation kernel `cochain._derived_terms` (one popcount
+"""The bitmask derivation loop `cochain._derived_rows` (one popcount
 sign per term), through `derive` and `map_matrix`, against the earlier
 sort-per-term derivation kept in `derivation_oracle`."""
 from fractions import Fraction
@@ -13,7 +13,7 @@ from maxclass.algebra import preset
 from maxclass.cochain import (Cochain, UnsortedImage, _generator_images, basis, derive,
                               differential, differential_matrix, map_matrix)
 from maxclass.fields import QQ, PrimeField
-from maxclass.linalg import capped_pass
+from maxclass.linalg import DimensionMismatch, capped_pass
 from maxclass.sl2 import Sl2Module, _x_coeff, wedge_basis, x_derivation_matrix
 
 FIELDS = [QQ, PrimeField(5)]
@@ -42,7 +42,8 @@ def derivation_cases(draw, field):
     """A cochain of one degree and an image map of one tuple length on
     e^1..e^TOP.  Image tuples are drawn from a small pool, so they often
     contain i itself, repeat within one image and collide across
-    positions, and their terms cancel."""
+    positions, and their terms cancel.  The cochain lists its terms in
+    a drawn order."""
     length = draw(st.sampled_from([0, 1, 2]))
     tuples = list(combinations(range(1, TOP + 1), length))
     pool = draw(st.lists(st.sampled_from(tuples), min_size=1, max_size=3))
@@ -54,7 +55,8 @@ def derivation_cases(draw, field):
     c = Cochain(field)
     for m in monos:
         c.add_term(m, draw(_scalar(field)))
-    return c, table, degree + length - 1
+    order = draw(st.permutations(list(c.terms)))
+    return Cochain(field, {m: c.terms[m] for m in order}), table, degree + length - 1
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -118,6 +120,24 @@ def test_cancelled_terms_restart_from_zero():
         _same_matrix(M, oracle.assemble(field, [(1,)], [(2,), (3,)], lambda i: cancelling))
         assert M.is_zero() and M.entries == {} and M.by_row == {}
         assert capped_pass(M, 1) == (0, 0)
+
+
+def test_derive_does_not_depend_on_the_term_order():
+    """e^2 -> e^1 / 2 and e^3 -> -e^1 / 2 + e^1 on e^2 ^ e^5 + e^3 ^ e^5:
+    either order of the two terms gives e^1 ^ e^5 with the int 1."""
+    half = QQ.of(1, 2)
+    table = {2: [(half, (1,))], 3: [(-half, (1,)), (1, (1,))]}
+    results = [derive(Cochain(QQ, dict(terms)), lambda i: table.get(i, []))
+               for terms in ([((2, 5), 1), ((3, 5), 1)], [((3, 5), 1), ((2, 5), 1)])]
+    for result in results:
+        assert result.terms == {(1, 5): 1} and type(result.terms[(1, 5)]) is int
+
+
+def test_an_image_outside_the_target_is_refused_by_name():
+    """e^2 -> e^1 takes e^2 ^ e^5 to e^1 ^ e^5, which is not in the
+    target basis."""
+    with pytest.raises(DimensionMismatch):
+        map_matrix(QQ, [(2, 5)], [(1, 4)], lambda i: [(1, (1,))] if i == 2 else [])
 
 
 def test_unsorted_image_tuple_is_refused():

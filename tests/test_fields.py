@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from maxclass.algebra import preset
 from maxclass.cochain import differential_matrix
 from maxclass.cohomology import representatives
-from maxclass.explicit import omega, w_cocycle
+from maxclass.explicit import d_minus2_class, omega, w_cocycle
 from maxclass.fields import (QQ, DivisionByZero, PrimalityUndecided, PrimeField,
                              _is_prime, parse_field)
 
@@ -138,3 +139,36 @@ def test_library_coefficients_over_q_are_exact():
         values += c.terms.values()
     assert any(type(x) is Fraction for x in values)
     assert all(_exact(x) for x in values)
+
+
+def _canonical(x):
+    """An int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def test_sums_and_products_keep_the_canonical_form():
+    """An integral sum or product of Fractions is an int, so a scalar's
+    type follows from its value alone."""
+    half, two_thirds = QQ.of(1, 2), QQ.of(2, 3)
+    assert type(QQ.add(half, half)) is int and QQ.add(half, half) == 1
+    assert type(QQ.mul(two_thirds, QQ.of(3, 2))) is int
+    assert type(QQ.add(half, QQ.of(1, 3))) is Fraction
+
+
+def _specs(length, floor, weight, kmax=40):
+    """The increasing index tuples of this length from `floor` whose
+    cocycle has weight(spec) <= kmax."""
+    return [s for s in combinations(range(floor, kmax), length) if weight(s) <= kmax]
+
+
+def test_explicit_cocycle_coefficients_are_canonical():
+    """Every coefficient of omega (length <= 4), w and d_minus2_class
+    (length <= 3) at weight <= 40 is an int or a non-integral Fraction."""
+    omegas = [s for n in range(1, 5) for s in _specs(n, 2, lambda s: sum(s) + s[-1] + 1)]
+    ws = [s for n in range(1, 4) for s in _specs(n, 3, lambda s: sum(s) + 2 * s[-1] + 3)]
+    assert (len(omegas), len(ws)) == (512, 65)
+    cocycles = [omega(s) for s in omegas]
+    cocycles += [build(s) for s in ws for build in (w_cocycle, d_minus2_class)]
+    values = [x for c in cocycles for x in c.terms.values()]
+    assert any(type(x) is Fraction for x in values)
+    assert all(_canonical(x) for x in values)
