@@ -53,6 +53,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from functools import lru_cache
 
 from . import linalg
@@ -233,6 +234,26 @@ def _check_field(field: Field, cochains) -> None:
         raise FieldMismatch(f"a cochain is not over {field!r}")
 
 
+def _cell_positions(alg: GradedAlgebra, c: Cochain, q: int, k: int) -> dict[int, object]:
+    """c as {position in the lexicographic basis of C^q_k: coefficient},
+    or DimensionMismatch if a monomial of c lies outside the cell."""
+    cell = _basis(alg, q, k)
+    out = {}
+    for m, v in c.terms.items():
+        j = bisect_left(cell, m)
+        if j == len(cell) or cell[j] != m:
+            raise linalg.DimensionMismatch(f"{m!r} is not a monomial of C^{q}_{k}")
+        out[j] = v
+    return out
+
+
+def _closed(alg: GradedAlgebra, c: Cochain, q: int, k: int) -> bool:
+    """Whether d c = 0, by the compiled derivation; DimensionMismatch if
+    c has a monomial outside C^q_k."""
+    _cell_positions(alg, c, q, k)
+    return differential(alg, c).is_zero()
+
+
 def _coordinates(functionals: dict, c: Cochain) -> dict[int, object]:
     """The nonzero class coordinates of a cocycle c, keyed by the index
     of the representative (see _Weight._class_basis)."""
@@ -286,9 +307,10 @@ def is_exact(alg: GradedAlgebra, c: Cochain):
 def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
                       q: int, k: int, field: Field = QQ):
     """Coordinates of the class of a closed cochain c in the basis given
-    by reps, or None if c or one of reps is not closed, or c is not in
-    their span modulo exact forms.  FieldMismatch is raised if c or one
-    of reps is not over `field`.
+    by reps, or None if c or one of reps is not closed (d x = 0 by the
+    compiled derivation, as in is_exact), or c is not in their span
+    modulo exact forms.  FieldMismatch is raised if c or one of reps is
+    not over `field`, DimensionMismatch if one leaves C^q_k.
 
     Every cocycle has exact coordinates in the canonical representatives
     of the cell, coord_f(c) = c[f] - sum_t c[t] b_t[f] (see the module
@@ -299,7 +321,7 @@ def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
     weight = _weight(alg, field, k)
     canonical, functionals = weight.classes[q]
     own = tuple(reps) == canonical
-    if any(weight.d[q].apply(x.terms) for x in ([c] if own else [c, *reps])):
+    if not all(_closed(alg, x, q, k) for x in ([c] if own else [c, *reps])):
         return None
     target = _coordinates(functionals, c)
     if own:
@@ -316,10 +338,11 @@ def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
 def class_rank(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
                field: Field = QQ) -> int | None:
     """Dimension of the span of the classes of cochains in H^q_k, that is
-    rank [cochains | d^{q-1}_k] - rank d^{q-1}_k, or None when d^q_k does
-    not kill them all.  The rank of an induced map on cohomology is the
-    class_rank of the images of the representatives of its source.
-    FieldMismatch is raised if a cochain is not over `field`.
+    rank [cochains | d^{q-1}_k] - rank d^{q-1}_k, or None when d does not
+    kill them all (by the compiled derivation, as in is_exact).  The rank
+    of an induced map on cohomology is the class_rank of the images of
+    the representatives of its source.  FieldMismatch is raised if a
+    cochain is not over `field`, DimensionMismatch if one leaves C^q_k.
 
     It is the rank of the n x b matrix of the cochains' coordinates in
     the canonical representatives (see the module docstring): one pass
@@ -329,10 +352,9 @@ def class_rank(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
     cochains = [c for c in cochains if not c.is_zero()]
     if not cochains:
         return 0
-    weight = _weight(alg, field, k)
-    if any(weight.d[q].apply(c.terms) for c in cochains):
+    if not all(_closed(alg, c, q, k) for c in cochains):
         return None
-    reps, functionals = weight.classes[q]
+    reps, functionals = _weight(alg, field, k).classes[q]
     M = linalg.SparseMatrix(field, len(cochains), len(reps),
                             {(j, i): v for j, c in enumerate(cochains)
                              for i, v in _coordinates(functionals, c).items()})

@@ -148,16 +148,9 @@ def verify_exactness(split: IdealSplit, qmax: int, kmax: int,
     def images(n, k):
         return [maps[n % 3](c) for c in reps(*position(n, k))]
 
-    # a rank depends on the target cell and the nonzero cochains' terms;
-    # the composite checks repeat many of these
-    ranks = {}
-
     def rank(n, k, cochains):
         alg, q, kk = position(n + 1, k)
-        key = (alg, q, kk, tuple(tuple(c.terms.items()) for c in cochains if c.terms))
-        if key not in ranks:
-            ranks[key] = class_rank(alg, cochains, q, kk, field)
-        return ranks[key]
+        return class_rank(alg, cochains, q, kk, field)
 
     # map n's rank is node n's rank_out and node n + 1's rank_in
     @cache

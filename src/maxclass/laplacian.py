@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import linalg
 from .algebra import GradedAlgebra
 from .cochain import Cochain, derive
-from .cohomology import RouteMismatch, _weight, betti
+from .cohomology import RouteMismatch, _cell_positions, _weight, betti
 from .explicit import d1_apply
 from .fields import QQ, Field
 
@@ -45,12 +45,24 @@ def _stacked(alg: GradedAlgebra, q: int, k: int, field: Field) -> linalg.SparseM
 
 
 def laplacian_apply(alg: GradedAlgebra, c: Cochain) -> Cochain:
-    """D_q^T D_q c + D_{q-1} D_{q-1}^T c, as A^T (A c)."""
+    """D_q^T D_q c + D_{q-1} D_{q-1}^T c, as A^T (A c) = sum_r (row_r . c)
+    row_r in one pass over the stored rows of A: no transpose of A is
+    built.  DimensionMismatch if c has a monomial outside its cell."""
     if c.is_zero():
         return Cochain(c.field)
     q, k = c.bidegree()
-    A = _stacked(alg, q, k, c.field)
-    return Cochain(c.field, A.transpose().apply(A.apply(c.terms)))
+    f = c.field
+    A, x = _stacked(alg, q, k, f), _cell_positions(alg, c, q, k)
+    out: dict[int, object] = {}
+    for row in A.by_row.values():
+        s = f.zero
+        for j, a in row.items():
+            if j in x:
+                s = f.add(s, f.mul(a, x[j]))
+        if not f.is_zero(s):
+            for j, a in row.items():
+                out[j] = f.add(out.get(j, f.zero), f.mul(s, a))
+    return Cochain(f, {A.col_labels[j]: v for j, v in sorted(out.items())})
 
 
 def harmonic_basis(alg: GradedAlgebra, q: int, k: int,

@@ -20,7 +20,6 @@ full pass would only add fill-in.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, count
 from math import gcd, isqrt, lcm, prod
 
@@ -36,11 +35,11 @@ class DimensionMismatch(ValueError):
 class SparseMatrix:
     """Exact sparse matrix stored by rows, a map row -> {column: nonzero
     entry} with no empty row, and optional monomial row/column labels.
-    It is eliminated (rank, kernel_basis, solve_in_image), transposed and
-    applied to a vector.  The rows are read, never written, once built,
-    and each lists its columns in ascending order: the constructor sorts
-    its entries, `transpose` walks the rows in order, and `map_matrix`
-    and `solve_in_image` write the columns in turn."""
+    It is transposed and eliminated (rank, kernel_basis, solve_in_image),
+    and nothing else.  Each row lists its columns in ascending order:
+    the constructor sorts its entries, `transpose` walks the rows in
+    order, and `map_matrix` and `solve_in_image` write the columns in
+    turn."""
 
     def __init__(self, field: Field, rows: int, cols: int,
                  entries: dict[tuple[int, int], object] | None = None,
@@ -78,40 +77,11 @@ class SparseMatrix:
         return SparseMatrix._of_rows(self.field, self.cols, self.rows, by_col,
                                      row_labels=self.col_labels, col_labels=self.row_labels)
 
-    @cached_property
-    def _columns(self) -> dict:
-        """Column label -> (row label, entry, row label, entry, ...),
-        built on first use; flat tuples keep it small."""
-        by_col: list[list] = [[] for _ in range(self.cols)]
-        for r, row in self.by_row.items():
-            for c, m in row.items():
-                by_col[c] += (self.row_labels[r], m)
-        return {lbl: tuple(by_col[c]) for c, lbl in enumerate(self.col_labels)}
-
-    def apply(self, vec: dict) -> dict:
-        """Matrix times a coefficient map keyed by column labels.  Only
-        the columns in the vector's support are read, through a column
-        view built once per matrix on the first call; so the rows must
-        not change after construction."""
-        f = self.field
-        columns = self._columns
-        out: dict = {}
-        for lbl, v in vec.items():
-            column = columns.get(lbl)
-            if column is None:
-                raise DimensionMismatch(f"unknown column label {lbl!r}")
-            if f.is_zero(v):
-                continue
-            pairs = iter(column)
-            for row, m in zip(pairs, pairs):
-                out[row] = f.add(out.get(row, f.zero), f.mul(m, v))
-        return {lbl: v for lbl, v in out.items() if not f.is_zero(v)}
-
     def is_zero(self) -> bool:
         return not self.by_row
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} entries, {self.field!r})"
+        return f"SparseMatrix({self.rows}x{self.cols}, {sum(map(len, self.by_row.values()))} entries, {self.field!r})"
 
 
 class CertificationError(ArithmeticError):

@@ -10,12 +10,13 @@ reference for the accumulator kernel, which must return the same
 pivot rows.  It also returns the rows that gave a pivot, which the
 engine does not keep, for tests that ask where a pass met them.
 `from_dense` and `to_dense` convert between a SparseMatrix and a list
-of rows, and `regrouped_rows` is the engine's earlier preparation of
-the rows of a matrix stored by entries: the reference for `_rows`,
-which sorts the stored rows instead.  `triangular_first` is the
-engine's earlier regroup for a capped pass, which took each row's min
-and max: the reference for `_triangular_first`, which reads a row's
-first and last key instead.
+of rows, and `product` multiplies a matrix into a vector by its dense
+rows.  `regrouped_rows` is the engine's earlier preparation of the rows
+of a matrix stored by entries: the reference for `_rows`, which sorts
+the stored rows instead.  `triangular_first` is the engine's earlier
+regroup for a capped pass, which took each row's min and max: the
+reference for `_triangular_first`, which reads a row's first and last
+key instead.
 """
 from __future__ import annotations
 
@@ -40,6 +41,22 @@ def to_dense(M: SparseMatrix) -> list[list]:
     for (r, c), x in M.entries.items():
         dense[r][c] = x
     return dense
+
+
+def product(M: SparseMatrix, vec: dict) -> dict:
+    """M times a coefficient map keyed by column labels, from the dense
+    rows of M: its nonzero entries, keyed by row labels."""
+    f = M.field
+    assert set(vec) <= set(M.col_labels), "a label outside the columns"
+    x = [vec.get(lbl, f.zero) for lbl in M.col_labels]
+    out = {}
+    for lbl, row in zip(M.row_labels, to_dense(M)):
+        s = f.zero
+        for a, v in zip(row, x):
+            s = f.add(s, f.mul(a, v))
+        if not f.is_zero(s):
+            out[lbl] = s
+    return out
 
 
 def regrouped_rows(M: SparseMatrix) -> list[dict[int, int]]:

@@ -17,6 +17,7 @@ from maxclass.cohomology import (NotCocycle, RouteMismatch, betti, betti_table,
                                  is_exact, representatives)
 from maxclass.combinatorics import distinct_V, partitions_P
 from maxclass.dixmier import m0_split
+from maxclass.explicit import omega
 from maxclass.fields import QQ, PrimeField
 
 import elimination_oracle
@@ -155,6 +156,33 @@ def test_class_queries_refuse_cochains_over_another_field():
         class_coordinates(m0, rationals[0], reps, 3, 12)
     assert class_coordinates(m0, c, reps, 3, 12, field=f5) == [f5.of(3)]
     assert class_rank(m0, [c], 3, 12, field=f5) == 1
+
+
+@pytest.mark.parametrize("name, q, k", [("m0", 3, 12), ("m0", 2, 9), ("m2", 3, 12)])
+def test_class_queries_refuse_a_cochain_outside_the_cell(name, q, k):
+    """A monomial of another weight or degree is no coordinate of C^q_k:
+    class_coordinates raises DimensionMismatch for it with the canonical
+    representatives and with others, in the cochain or in a
+    representative, and class_rank raises it too, closed or not."""
+    alg = preset(name)
+    reps = representatives(alg, q, k)
+    others = [r.scaled(QQ.of(2)) for r in reps]
+    outside = [Cochain.monomial(QQ, m) for m in (basis(alg, q, k - 1)[0], basis(alg, q, k + 1)[-1],
+                                                 basis(alg, q - 1, k)[0], basis(alg, q + 1, k)[-1])]
+    outside.append(reps[0] + outside[0])
+    for bad in outside:
+        for c, basis_reps in ((bad, reps), (bad, others), (reps[0], others + [bad])):
+            with pytest.raises(linalg.DimensionMismatch):
+                class_coordinates(alg, c, basis_reps, q, k)
+        for cochains in ([bad], reps + [bad]):
+            with pytest.raises(linalg.DimensionMismatch):
+                class_rank(alg, cochains, q, k)
+    # a closed 3-form of weight 9, asked about at weight 10 and at degree 4
+    m0 = preset("m0")
+    with pytest.raises(linalg.DimensionMismatch):
+        class_coordinates(m0, omega((2, 3)), representatives(m0, 3, 10), 3, 10)
+    with pytest.raises(linalg.DimensionMismatch):
+        class_rank(m0, [omega((2, 3))], 4, 9)
 
 
 def test_class_coordinates():

@@ -179,23 +179,6 @@ def test_exactness_reports_images_that_are_not_closed(monkeypatch):
 
 
 @pytest.mark.parametrize("split", [m0_split, m2_split])
-def test_exactness_ranks_each_class_rank_question_once(split, monkeypatch):
-    """The composite checks ask class_rank the same question many times
-    (the same target cell and the same cochains); one check of a window
-    asks each question once."""
-    keys = []
-    class_rank = dixmier.class_rank
-
-    def counted(alg, cochains, q, k, field):
-        keys.append((alg, q, k, tuple(tuple(c.terms.items()) for c in cochains if c.terms)))
-        return class_rank(alg, cochains, q, k, field)
-
-    monkeypatch.setattr(dixmier, "class_rank", counted)
-    assert verify_exactness(split(), 3, 20).passed
-    assert keys and len(keys) == len(set(keys))
-
-
-@pytest.mark.parametrize("split", [m0_split, m2_split])
 def test_adx_star_compiles_each_generator_once_per_split_and_field(split, monkeypatch):
     """verify_exactness applies adX* to hundreds of representatives; the
     image of each generator is compiled once per split and field, and

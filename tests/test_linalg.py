@@ -49,7 +49,7 @@ def test_kernel_basis_annihilates():
     vecs = kernel_basis(M)
     assert len(vecs) == 1
     for v in vecs:
-        image = M.apply(v)
+        image = oracle.product(M, v)
         assert all(QQ.is_zero(x) for x in image.values())
 
 
@@ -57,7 +57,7 @@ def test_solve_in_image():
     M = oracle.from_dense(QQ, [[QQ.of(1), QQ.of(0)], [QQ.of(1), QQ.of(0)]])
     sol = solve_in_image(M, {M.row_labels[0]: QQ.of(2), M.row_labels[1]: QQ.of(2)})
     assert sol is not None
-    assert M.apply(sol) == {M.row_labels[0]: QQ.of(2), M.row_labels[1]: QQ.of(2)}
+    assert oracle.product(M, sol) == {M.row_labels[0]: QQ.of(2), M.row_labels[1]: QQ.of(2)}
     # (1, 2) is not in the column span
     assert solve_in_image(M, {M.row_labels[0]: QQ.of(1),
                               M.row_labels[1]: QQ.of(2)}) is None
@@ -71,36 +71,6 @@ def test_transpose_swaps_entries_and_labels():
     assert oracle.to_dense(T) == [[1, 3], [2, 4], [0, 5]]
     assert (T.row_labels, T.col_labels) == (["x", "y", "z"], ["a", "b"])
     assert T.transpose().entries == M.entries
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([QQ, PrimeField(5)]), st.data())
-def test_apply_equals_the_dense_product(field, data):
-    """apply is the dense product on vectors with zero coefficients, on
-    a labelled matrix and on its transpose (whose column labels are the
-    matrix's row labels); calls repeated on one matrix agree, and a
-    label outside the columns raises DimensionMismatch."""
-    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-    dense = [[field.of(data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 3)))
-              for _ in range(n)] for _ in range(m)]
-    M = oracle.from_dense(field, dense, row_labels=[(r, "row") for r in range(m)],
-                          col_labels=[(c, "col") for c in range(n)])
-    for A, rows in ((M, dense), (M.transpose(), [list(col) for col in zip(*dense)])):
-        vectors = [{A.col_labels[c]: field.of(data.draw(st.integers(-2, 2)))
-                    for c in data.draw(st.sets(st.integers(0, A.cols - 1)))}
-                   for _ in range(3)]
-        for vec in vectors + vectors[:1]:
-            expected = {}
-            for r, row in enumerate(rows):
-                x = field.zero
-                for c, a in enumerate(row):
-                    x = field.add(x, field.mul(a, vec.get(A.col_labels[c], field.zero)))
-                if not field.is_zero(x):
-                    expected[A.row_labels[r]] = x
-            assert A.apply(vec) == expected
-        for unknown in ({(n, "col"): field.one}, {(m, "row"): field.zero}):
-            with pytest.raises(linalg.DimensionMismatch):
-                A.apply(unknown)
 
 
 @pytest.mark.parametrize("field, zeros", [(QQ, [0, Fraction(0)]),
@@ -492,7 +462,7 @@ def test_results_do_not_depend_on_row_order(case, data):
     assert list(kernel_basis(P)) == list(kernel_basis(M))
     if data.draw(st.booleans()):
         # a vector in the image, possibly zero
-        v = M.apply({c: field.of(data.draw(st.integers(-3, 3))) for c in range(n)})
+        v = oracle.product(M, {c: field.of(data.draw(st.integers(-3, 3))) for c in range(n)})
     else:
         v = {r: field.of(data.draw(st.integers(-3, 3))) for r in range(len(dense))}
         v = {r: x for r, x in v.items() if not field.is_zero(x)}
@@ -500,7 +470,7 @@ def test_results_do_not_depend_on_row_order(case, data):
     assert (sols[0] is None) == (sols[1] is None)
     for sol in sols:
         if sol is not None:
-            assert M.apply(sol) == v
+            assert oracle.product(M, sol) == v
 
 
 # --- the capped pass --------------------------------------------------------
