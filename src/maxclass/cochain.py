@@ -366,8 +366,8 @@ def map_matrix(field: Field, source, target, images) -> SparseMatrix:
     by_row = {r: rows.pop(m) for r, m in enumerate(map(_mask, target)) if m in rows}
     if rows:
         raise DimensionMismatch(f"image {_indices(next(iter(rows)))} is outside the target")
-    return SparseMatrix._of_rows(field, len(target), len(source), by_row,
-                                 row_labels=target, col_labels=source)
+    return SparseMatrix(field, len(target), len(source), by_row,
+                        row_labels=target, col_labels=source)
 
 
 @lru_cache(maxsize=None)

@@ -163,8 +163,8 @@ class _Weight:
         last = len(mono_basis) - 1
         flipped_rows = {c: {last - r: v for r, v in reversed(row.items())}
                         for c, row in d_prev.transpose().by_row.items()}
-        flipped = linalg.SparseMatrix._of_rows(self.field, d_prev.cols, d_prev.rows, flipped_rows,
-                                               col_labels=mono_basis[::-1])
+        flipped = linalg.SparseMatrix(self.field, d_prev.cols, d_prev.rows, flipped_rows,
+                                      col_labels=mono_basis[::-1])
         # the free column of a flipped kernel vector is its first monomial
         duals = {min(y): y for y in linalg.kernel_basis(flipped)}
         reps = tuple(Cochain(self.field, z) for z in kernel if max(z) in duals)
@@ -256,13 +256,21 @@ def _closed(alg: GradedAlgebra, c: Cochain, q: int, k: int) -> bool:
 
 def _coordinates(functionals: dict, c: Cochain) -> dict[int, object]:
     """The nonzero class coordinates of a cocycle c, keyed by the index
-    of the representative (see _Weight._class_basis)."""
+    of the representative in ascending order (see _Weight._class_basis)."""
     f = c.field
     out: dict[int, object] = {}
     for m, v in c.terms.items():
         for i, y in functionals.get(m, ()):
             out[i] = f.add(out.get(i, f.zero), f.mul(v, y))
-    return {i: x for i, x in out.items() if not f.is_zero(x)}
+    return {i: x for i, x in sorted(out.items()) if not f.is_zero(x)}
+
+
+def _class_matrix(field: Field, functionals: dict, cochains: list[Cochain],
+                  b: int) -> linalg.SparseMatrix:
+    """The len(cochains) x b matrix whose row j holds the class
+    coordinates of cochains[j]."""
+    by_row = {j: row for j, c in enumerate(cochains) if (row := _coordinates(functionals, c))}
+    return linalg.SparseMatrix(field, len(cochains), b, by_row)
 
 
 def representatives(alg: GradedAlgebra, q: int, k: int,
@@ -326,9 +334,7 @@ def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],
     target = _coordinates(functionals, c)
     if own:
         return [target.get(i, field.zero) for i in range(len(reps))]
-    M = linalg.SparseMatrix(field, len(canonical), len(reps),
-                            {(i, j): v for j, r in enumerate(reps)
-                             for i, v in _coordinates(functionals, r).items()})
+    M = _class_matrix(field, functionals, reps, len(canonical)).transpose()
     sol = linalg.solve_in_image(M, target)
     if sol is None:
         return None
@@ -355,9 +361,7 @@ def class_rank(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
     if not all(_closed(alg, c, q, k) for c in cochains):
         return None
     reps, functionals = _weight(alg, field, k).classes[q]
-    M = linalg.SparseMatrix(field, len(cochains), len(reps),
-                            {(j, i): v for j, c in enumerate(cochains)
-                             for i, v in _coordinates(functionals, c).items()})
+    M = _class_matrix(field, functionals, cochains, len(reps))
     found, bound = linalg.capped_pass(M, len(reps))
     return found if field.characteristic or found == bound else linalg.rank(M)
 

@@ -41,7 +41,7 @@ def _stacked(alg: GradedAlgebra, q: int, k: int, field: Field) -> linalg.SparseM
         d_prev = _weight(alg, field, k).d[q - 1]
         by_row.update({rows + c: row for c, row in d_prev.transpose().by_row.items()})
         rows += d_prev.cols
-    return linalg.SparseMatrix._of_rows(field, rows, d_q.cols, by_row, col_labels=d_q.col_labels)
+    return linalg.SparseMatrix(field, rows, d_q.cols, by_row, col_labels=d_q.col_labels)
 
 
 def laplacian_apply(alg: GradedAlgebra, c: Cochain) -> Cochain:

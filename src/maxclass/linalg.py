@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over Q and F_p: rank, kernel bases and
 membership-in-image solving behind every cohomology dimension.
 
-A SparseMatrix is stored by rows, the form elimination reads, each
-listing its columns in ascending order: a differential is assembled
+A SparseMatrix has one constructor, which keeps the rows it is given,
+the form elimination reads: no zero entry, no empty row, and each row
+listing its columns in ascending order.  A differential is assembled
 straight into them, and elimination sorts them by their first keys
 without regrouping (see _rows).  There is one elimination, in pure
 Python: a sparse row echelon form modulo a prime, each row reduced in a
@@ -33,35 +34,25 @@ class DimensionMismatch(ValueError):
 
 
 class SparseMatrix:
-    """Exact sparse matrix stored by rows, a map row -> {column: nonzero
-    entry} with no empty row, and optional monomial row/column labels.
-    It is transposed and eliminated (rank, kernel_basis, solve_in_image),
-    and nothing else.  Each row lists its columns in ascending order:
-    the constructor sorts its entries, `transpose` walks the rows in
-    order, and `map_matrix` and `solve_in_image` write the columns in
-    turn."""
+    """Exact sparse matrix stored by rows, a map row -> {column: entry},
+    with optional monomial row/column labels.  It is transposed and
+    eliminated (rank, kernel_basis, solve_in_image), and nothing else.
+
+    The one constructor keeps `by_row` as it is given, so every caller
+    writes rows that keep the contract elimination reads: no zero entry
+    and no empty row, row and column keys inside the shape, and each
+    row's columns in ascending order.  `map_matrix` and `solve_in_image`
+    write the columns in turn, and `transpose` walks the rows in order."""
 
     def __init__(self, field: Field, rows: int, cols: int,
-                 entries: dict[tuple[int, int], object] | None = None,
+                 by_row: dict[int, dict[int, object]] | None = None,
                  row_labels=None, col_labels=None):
         self.field, self.rows, self.cols = field, rows, cols
-        self.by_row: dict[int, dict[int, object]] = {}
-        for (r, c), v in sorted((entries or {}).items()):
-            if not field.is_zero(v):
-                self.by_row.setdefault(r, {})[c] = v
+        self.by_row: dict[int, dict[int, object]] = {} if by_row is None else by_row
         self.row_labels = row_labels if row_labels is not None else list(range(rows))
         self.col_labels = col_labels if col_labels is not None else list(range(cols))
         if len(self.row_labels) != rows or len(self.col_labels) != cols:
             raise DimensionMismatch("label lengths do not match the shape")
-
-    @classmethod
-    def _of_rows(cls, field: Field, rows: int, cols: int, by_row: dict[int, dict[int, object]],
-                 row_labels=None, col_labels=None) -> "SparseMatrix":
-        """A matrix that keeps `by_row` as it is: the caller has written
-        no zero entry, no empty row and no column out of order."""
-        M = cls(field, rows, cols, None, row_labels, col_labels)
-        M.by_row = by_row
-        return M
 
     @property
     def entries(self) -> dict[tuple[int, int], object]:
@@ -74,8 +65,8 @@ class SparseMatrix:
         for r in sorted(self.by_row):
             for c, v in self.by_row[r].items():
                 by_col.setdefault(c, {})[r] = v
-        return SparseMatrix._of_rows(self.field, self.cols, self.rows, by_col,
-                                     row_labels=self.col_labels, col_labels=self.row_labels)
+        return SparseMatrix(self.field, self.cols, self.rows, by_col,
+                            row_labels=self.col_labels, col_labels=self.row_labels)
 
     def is_zero(self) -> bool:
         return not self.by_row
@@ -367,7 +358,7 @@ def solve_in_image(M: SparseMatrix, v: dict):
             raise DimensionMismatch(f"unknown row label {lbl!r}")
         r = row_index[lbl]
         by_row[r] = {**by_row.get(r, {}), M.cols: val}
-    pivots, vectors = _kernel(SparseMatrix._of_rows(f, M.rows, M.cols + 1, by_row))
+    pivots, vectors = _kernel(SparseMatrix(f, M.rows, M.cols + 1, by_row))
     if M.cols in pivots:
         return None
     return {M.col_labels[c]: f.neg(x) for c, x in vectors[-1].items() if c != M.cols}

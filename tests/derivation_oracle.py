@@ -1,10 +1,11 @@
 """Reference derivation for the tests: the library's earlier `derive` and
-`map_matrix`, kept verbatim.
+`map_matrix`; `derive` is kept verbatim.
 
 Each term is written out as head + new + tail, sorted by insertion sort
 with its permutation sign (`sort_with_sign`), given the Koszul sign
 (-1)^(t * (len(new) - 1)) and added through `Cochain.add_term`; the
-matrix is assembled from one Cochain per source column.  Slow and
+matrix is assembled from one Cochain per source column, its entries
+gathered into rows by `elimination_oracle.from_entries`.  Slow and
 simple, it is the oracle the bitmask loop `_derived_rows`, which signs
 each term with one popcount, is compared against.
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 from maxclass.cochain import Cochain, sort_with_sign
 from maxclass.fields import Field
 from maxclass.linalg import SparseMatrix
+
+from elimination_oracle import from_entries
 
 
 def derive(c: Cochain, images) -> Cochain:
@@ -51,7 +54,7 @@ def map_matrix(field: Field, source, target, fn) -> SparseMatrix:
     for j, mono in enumerate(source):
         for m, v in fn(Cochain(field, {mono: field.one})).terms.items():
             entries[(row_index[m], j)] = v
-    return SparseMatrix(field, len(target), len(source), entries,
+    return from_entries(field, len(target), len(source), entries,
                         row_labels=target, col_labels=source)
 
 

@@ -9,14 +9,16 @@ earlier sparse echelon, with dict rows and a heap of columns: the
 reference for the accumulator kernel, which must return the same
 pivot rows.  It also returns the rows that gave a pivot, which the
 engine does not keep, for tests that ask where a pass met them.
-`from_dense` and `to_dense` convert between a SparseMatrix and a list
-of rows, and `product` multiplies a matrix into a vector by its dense
-rows.  `regrouped_rows` is the engine's earlier preparation of the rows
-of a matrix stored by entries: the reference for `_rows`, which sorts
-the stored rows instead.  `triangular_first` is the engine's earlier
-regroup for a capped pass, which took each row's min and max: the
-reference for `_triangular_first`, which reads a row's first and last
-key instead.
+`from_entries` builds a SparseMatrix from a (row, column)-keyed dict
+of entries, the form the library's constructor took before it was
+built from its rows; `from_dense` and `to_dense` convert between a
+SparseMatrix and a list of rows, and `product` multiplies a matrix
+into a vector by its dense rows.  `regrouped_rows` is the engine's
+earlier preparation of the rows of a matrix stored by entries: the
+reference for `_rows`, which sorts the stored rows instead.
+`triangular_first` is the engine's earlier regroup for a capped pass,
+which took each row's min and max: the reference for
+`_triangular_first`, which reads a row's first and last key instead.
 """
 from __future__ import annotations
 
@@ -27,12 +29,23 @@ from math import lcm
 from maxclass.linalg import SparseMatrix
 
 
+def from_entries(field, rows: int, cols: int, entries: dict[tuple[int, int], object],
+                 row_labels=None, col_labels=None) -> SparseMatrix:
+    """The matrix with these entries, in any order: they are sorted by
+    (row, column), and an entry that is zero in the field is dropped."""
+    by_row: dict[int, dict[int, object]] = {}
+    for (r, c), v in sorted(entries.items()):
+        if not field.is_zero(v):
+            by_row.setdefault(r, {})[c] = v
+    return SparseMatrix(field, rows, cols, by_row, row_labels, col_labels)
+
+
 def from_dense(field, dense, row_labels=None, col_labels=None) -> SparseMatrix:
-    """The matrix with these rows; its constructor drops the zero entries."""
+    """The matrix with these rows, without their zero entries."""
     rows = len(dense)
     cols = len(dense[0]) if rows else 0
     entries = {(r, c): x for r, row in enumerate(dense) for c, x in enumerate(row)}
-    return SparseMatrix(field, rows, cols, entries, row_labels, col_labels)
+    return from_entries(field, rows, cols, entries, row_labels, col_labels)
 
 
 def to_dense(M: SparseMatrix) -> list[list]:

@@ -18,7 +18,7 @@ from maxclass.combinatorics import (
 )
 from maxclass.explicit import CharacteristicTwo, cup_formula, omega, w_cocycle
 from maxclass.fields import QQ, PrimeField
-from maxclass.linalg import SparseMatrix, rank
+from maxclass.linalg import rank
 from maxclass.sl2 import Sl2Module, primitive_basis
 from maxclass.verify import (
     verify_bordemann,
@@ -30,6 +30,8 @@ from maxclass.verify import (
     verify_goncharova,
     verify_laplacian,
 )
+
+import derivation_oracle
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -298,13 +300,7 @@ def test_criterion_14_sl2_route():
             for k in range(16):
                 source = basis(ideal, q, k + 2 * q)
                 target = basis(ideal, q, k - 1 + 2 * q)
-                pos = {m: i for i, m in enumerate(target)}
-                entries = {}
-                for j, m in enumerate(source):
-                    for mm, v in d1_apply(Cochain.monomial(QQ, m)).terms.items():
-                        entries[(pos[mm], j)] = v
-                M = SparseMatrix(QQ, len(target), len(source), entries,
-                                 row_labels=target, col_labels=source)
+                M = derivation_oracle.map_matrix(QQ, source, target, d1_apply)
                 prims = list(primitive_basis(mod, q, k))
                 if len(source) - rank(M) != len(prims):
                     ok, detail = False, f"relabel dim q={q} k={k}"

@@ -158,6 +158,17 @@ def test_class_queries_refuse_cochains_over_another_field():
     assert class_rank(m0, [c], 3, 12, field=f5) == 1
 
 
+@pytest.mark.parametrize("terms", [{(1, 4): 1}, {(4, 3): 1}], ids=["not-a-generator", "unsorted"])
+def test_is_exact_refuses_a_closed_cochain_outside_its_cell(terms):
+    """e^1 is no generator of l3 and (4, 3) is no increasing monomial,
+    so neither cochain lies in its cell C^2_k, though d kills both:
+    is_exact raises DimensionMismatch rather than answer."""
+    alg, c = preset("lk", 3), Cochain(QQ, terms)
+    assert differential(alg, c).is_zero()
+    with pytest.raises(linalg.DimensionMismatch):
+        is_exact(alg, c)
+
+
 @pytest.mark.parametrize("name, q, k", [("m0", 3, 12), ("m0", 2, 9), ("m2", 3, 12)])
 def test_class_queries_refuse_a_cochain_outside_the_cell(name, q, k):
     """A monomial of another weight or degree is no coordinate of C^q_k:
@@ -785,41 +796,50 @@ def test_readers_leave_the_cached_rows_as_they_are(monkeypatch):
 
 
 def test_every_constructor_lists_each_row_in_ascending_columns(monkeypatch):
-    """Each stored row lists its columns in ascending order, so a capped
-    pass reads a row's leading and last column as its first and last
-    key.  Recorded from every constructor in the package: map_matrix (d
-    and the sl(2) operator X), transpose, the flipped d^{q-1}_k of a
-    class basis, the Hodge matrix, the [M | v] of solve_in_image, and the
-    constructor from entries (class_rank, class_coordinates)."""
+    """The one constructor keeps the rows it is given, so every matrix
+    in the package must arrive with the contract elimination reads: no
+    empty row, no zero entry, row and column keys inside the shape, and
+    each row's columns in ascending order, so that a capped pass reads a
+    row's leading and last column as its first and last key.  Recorded
+    from every construction site over Q and F_5: map_matrix (d and the
+    sl(2) operator X), transpose, the flipped d^{q-1}_k of a class
+    basis, the [M | v] of solve_in_image, the class coordinates of
+    _class_matrix (class_rank, class_coordinates), some with an exact
+    cochain among them and at (3, 15), where b = 2, with two
+    coordinates in a row, and over Q the Hodge matrix."""
     from maxclass import laplacian, sl2
     built = []
     init = linalg.SparseMatrix.__init__
 
     def recorded(M, *args, **kwargs):
         init(M, *args, **kwargs)
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "_of_rows":
-            caller = caller.f_back
-        built.append((caller.f_code.co_name, M))
+        built.append((sys._getframe(1).f_code.co_name, M))
 
     monkeypatch.setattr(linalg.SparseMatrix, "__init__", recorded)
     _clear_caches(monkeypatch)
     alg = CLASS_ALGEBRAS[-1]
-    for q, k in [(q, k) for q in range(1, 4) for k in range(13)]:
-        reps = representatives(alg, q, k)
-        scaled = [x.scaled(2) for x in reps]
-        assert class_rank(alg, scaled, q, k) == len(reps)
-        assert all(class_coordinates(alg, r, scaled, q, k) is not None for r in reps)
-        for m in basis(alg, q - 1, k)[:2]:
-            b = differential(alg, Cochain.monomial(QQ, m))
-            assert b.is_zero() or is_exact(alg, b)[0]
-        laplacian.harmonic_basis(alg, q, k)
-        laplacian.laplacian_apply(alg, Cochain(QQ, {m: 1 for m in basis(alg, q, k)}))
+    for field in (QQ, PrimeField(5)):
+        for q, k in [(q, k) for q in range(1, 4) for k in range(13)] + [(3, 15)]:
+            reps = representatives(alg, q, k, field)
+            others = [x.scaled(2) + reps[0] for x in reps]
+            assert class_rank(alg, others, q, k, field) == len(reps)
+            assert all(class_coordinates(alg, r, others, q, k, field) is not None for r in reps)
+            for m in basis(alg, q - 1, k)[:2]:
+                b = differential(alg, Cochain.monomial(field, m))
+                assert b.is_zero() or is_exact(alg, b)[0]
+                assert class_rank(alg, [b, *others], q, k, field) == len(reps)
+            if field is QQ:
+                laplacian.harmonic_basis(alg, q, k)
+                laplacian.laplacian_apply(alg, Cochain(QQ, {m: 1 for m in basis(alg, q, k)}))
     sl2.primitive_basis(sl2.Sl2Module(Fraction(1, 2)), 3, 12)
     assert {name for name, _ in built} == {"map_matrix", "transpose", "_class_basis", "_stacked",
-                                           "solve_in_image", "class_rank", "class_coordinates"}
+                                           "solve_in_image", "_class_matrix"}
+    assert {M.field.characteristic for name, M in built if name == "_class_matrix"} == {0, 5}
     for name, M in built:
-        assert all(list(row) == sorted(row) for row in M.by_row.values()), name
+        assert all(M.by_row.values()) and set(M.by_row) <= set(range(M.rows)), name
+        for row in M.by_row.values():
+            assert list(row) == sorted(row) and set(row) <= set(range(M.cols)), name
+            assert not any(M.field.is_zero(v) for v in row.values()), name
 
 
 def test_a_betti_table_never_reads_the_entries_view(monkeypatch):
@@ -839,7 +859,8 @@ def test_a_betti_table_never_reads_the_entries_view(monkeypatch):
                                     ("m0", PrimeField(3), 4, 22)):
         betti_table(preset(name), qmax, kmax, field)
     assert certified and not reads
-    assert linalg.SparseMatrix(QQ, 1, 1, {(0, 0): 2}).entries == {(0, 0): 2} and len(reads) == 1
+    assert elimination_oracle.from_entries(QQ, 1, 1, {(0, 0): 2}).entries == {(0, 0): 2}
+    assert len(reads) == 1
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cup_oracle
+import derivation_oracle
 import w_oracle
 from maxclass import cochain, explicit
 from maxclass.algebra import preset, subalgebra
@@ -17,7 +18,7 @@ from maxclass.explicit import (CharacteristicTwo, InvalidIndices, NoLeadingTerm,
                                d_minus1, d_minus2_class, leading_term, omega,
                                omega_map, w_cocycle)
 from maxclass.fields import QQ, PrimeField
-from maxclass.linalg import SparseMatrix, kernel_basis, rank
+from maxclass.linalg import kernel_basis, rank
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -54,14 +55,7 @@ def test_d1_surjective_on_windows():
             target = basis(ideal, q, k - 1)
             if not target:
                 continue
-            pos = {m: i for i, m in enumerate(target)}
-            entries = {}
-            for j, m in enumerate(source):
-                img = d1_apply(mono(m))
-                for mm, v in img.terms.items():
-                    entries[(pos[mm], j)] = v
-            M = SparseMatrix(QQ, len(target), len(source), entries,
-                             row_labels=target, col_labels=source)
+            M = derivation_oracle.map_matrix(QQ, source, target, d1_apply)
             assert rank(M) == len(target)
 
 
@@ -172,13 +166,7 @@ def test_kernel_of_d1_spanned_by_omegas():
         for k in range(q * (q + 1) // 2, 28):
             source = basis(ideal, q, k)
             target = basis(ideal, q, k - 1)
-            pos = {m: i for i, m in enumerate(target)}
-            entries = {}
-            for j, m in enumerate(source):
-                for mm, v in d1_apply(mono(m)).terms.items():
-                    entries[(pos[mm], j)] = v
-            M = SparseMatrix(QQ, len(target), len(source), entries,
-                             row_labels=target, col_labels=source)
+            M = derivation_oracle.map_matrix(QQ, source, target, d1_apply)
             nullity = len(source) - rank(M)
             specs = [m[:-1] for m in source if m[-1] == m[-2] + 1]
             assert len(specs) == nullity

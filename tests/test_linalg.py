@@ -20,8 +20,8 @@ def test_rank_simple():
     assert rank(M) == 1
     M = oracle.from_dense(QQ, [[QQ.of(1), QQ.of(0)], [QQ.of(0), QQ.of(1)]])
     assert rank(M) == 2
-    assert rank(SparseMatrix(QQ, 0, 3, {})) == 0
-    assert rank(SparseMatrix(QQ, 3, 0, {})) == 0
+    assert rank(oracle.from_entries(QQ, 0, 3, {})) == 0
+    assert rank(oracle.from_entries(QQ, 3, 0, {})) == 0
 
 
 def test_rank_with_fractions():
@@ -73,34 +73,21 @@ def test_transpose_swaps_entries_and_labels():
     assert T.transpose().entries == M.entries
 
 
-@pytest.mark.parametrize("field, zeros", [(QQ, [0, Fraction(0)]),
-                                          (PrimeField(7), [0, 7, -14])], ids=repr)
-def test_constructor_drops_zero_entries(field, zeros):
-    """Over F_p an entry is zero when it is 0 mod p, not only when it is
-    falsy, and every construction from the caller's own dict drops it."""
-    entries = {(0, c): z for c, z in enumerate(zeros)}
-    entries[(1, 0)] = 1
-    M = SparseMatrix(field, 2, len(zeros), entries)
-    assert M.entries == {(1, 0): 1}
-    assert M.transpose().entries == {(0, 1): 1}
-    assert oracle.from_dense(field, oracle.to_dense(M) + [zeros]).entries == {(1, 0): 1}
-
-
-def test_assembly_does_not_filter_its_entries_again(monkeypatch):
-    """map_matrix writes no zero entry, so its matrix skips the
-    constructor's filter."""
-    filtered = []
-    init = SparseMatrix.__init__
-
-    def recorded(self, field, rows, cols, entries=None, *args, **kwargs):
-        filtered.append(len(entries or ()))
-        init(self, field, rows, cols, entries, *args, **kwargs)
-
-    monkeypatch.setattr(SparseMatrix, "__init__", recorded)
-    field = PrimeField(2 ** 31 - 1)
-    M = differential_matrix(preset("l1"), 3, 24, field)
-    assert M.entries and not any(field.is_zero(v) for v in M.entries.values())
-    assert not any(filtered)
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_unknown_row_labels_and_wrong_label_lengths_are_refused(field):
+    """solve_in_image raises DimensionMismatch for a nonzero value on a
+    row label the matrix lacks, and skips a zero one, which is no entry
+    of v; the constructor raises it for labels whose lengths do not
+    match the shape."""
+    M = oracle.from_dense(field, [[1, 0], [0, 0]], row_labels=["a", "b"])
+    for v in ({"c": 1}, {"a": 1, 0: 2}):
+        with pytest.raises(linalg.DimensionMismatch):
+            solve_in_image(M, v)
+    assert solve_in_image(M, {"a": 3, "c": field.of(0)}) == {0: 3}
+    for labels in ({"row_labels": ["a"]}, {"col_labels": [0, 1, 2]},
+                   {"row_labels": [], "col_labels": []}):
+        with pytest.raises(linalg.DimensionMismatch):
+            SparseMatrix(field, 2, 2, None, **labels)
 
 
 @settings(max_examples=40)
@@ -513,18 +500,18 @@ def test_rows_over_q_scale_only_fractional_rows(dense, scaled, r):
 @given(st.sampled_from([QQ, PrimeField(5)]), st.data())
 def test_stored_rows_equal_the_regrouped_entries(field, data):
     """The matrix is stored by rows, each listing its columns in
-    ascending order whatever the order of the entries it was built from:
-    `entries` reads those entries back, transposing keeps the order and
-    gives them again, and `_rows`, a sort of the stored rows, equals the
-    regroup of `entries` by row that the engine used before, row order
-    included."""
+    ascending order whatever the order of the entries `from_entries`
+    gathered into them: `entries` reads those entries back, transposing
+    keeps the order and gives them again, and `_rows`, a sort of the
+    stored rows, equals the regroup of `entries` by row that the engine
+    used before, row order included."""
     m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     scalar = st.builds(field.of, st.integers(-3, 3), st.integers(1, 3))
     entries = data.draw(st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
                                         scalar))
     entries = dict(data.draw(st.permutations(list(entries.items()))))
     nonzero = {key: v for key, v in entries.items() if not field.is_zero(v)}
-    M = SparseMatrix(field, m, n, entries)
+    M = oracle.from_entries(field, m, n, entries)
     assert M.entries == nonzero and M.is_zero() == (not nonzero)
     assert all(M.by_row.values())
     T = M.transpose()
@@ -594,7 +581,8 @@ def test_full_passes_keep_the_bottom_up_order(field, monkeypatch):
     row, and there the regrouping would only add fill-in."""
     M = differential_matrix(preset("l1"), 3, 30, field)
     v = {M.row_labels[0]: field.one}
-    augmented = SparseMatrix(field, M.rows, M.cols + 1, {**M.entries, (0, M.cols): field.one})
+    augmented = oracle.from_entries(field, M.rows, M.cols + 1,
+                                    {**M.entries, (0, M.cols): field.one})
     calls = []
     echelon = linalg._echelon
 

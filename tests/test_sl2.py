@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from maxclass.algebra import preset, subalgebra
-from maxclass.cochain import Cochain, basis
+from maxclass.cochain import basis
 from maxclass.combinatorics import bounded_distinct_V, distinct_V
 from maxclass.explicit import d1_apply
 from maxclass.fields import QQ
-from maxclass.linalg import SparseMatrix, rank
+from maxclass.linalg import rank
 from maxclass.sl2 import (
     InvalidLambda,
     Sl2Module,
@@ -21,6 +21,7 @@ from maxclass.sl2 import (
     x_derivation_matrix,
 )
 
+import derivation_oracle
 import elimination_oracle
 
 LAM = Fraction(-3, 7)
@@ -136,14 +137,7 @@ def test_relabeling_matches_d1_kernel():
         for k in range(13):
             source = basis(ideal, q, k + 2 * q)
             target = basis(ideal, q, k - 1 + 2 * q)
-            pos = {m: i for i, m in enumerate(target)}
-            entries = {}
-            for j, m in enumerate(source):
-                img = d1_apply(Cochain.monomial(QQ, m))
-                for mm, v in img.terms.items():
-                    entries[(pos[mm], j)] = v
-            M = SparseMatrix(QQ, len(target), len(source), entries,
-                             row_labels=target, col_labels=source)
+            M = derivation_oracle.map_matrix(QQ, source, target, d1_apply)
             nullity = len(source) - rank(M)
             assert nullity == len(primitive_basis(mod, q, k)), (q, k)
 
