@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate
+from operator import lt
 
 from .algebra import GradedAlgebra
 from .fields import QQ, Field
@@ -35,6 +36,10 @@ class FieldMismatch(ValueError):
 
 class UnsortedImage(ValueError):
     """An image tuple of a derivation is not strictly increasing."""
+
+
+class UnsortedMonomial(ValueError):
+    """A cochain's monomial key is not a strictly increasing tuple."""
 
 
 class NegativeIndex(ValueError):
@@ -60,9 +65,12 @@ def sort_with_sign(indices) -> tuple[Monomial, int] | None:
 
 
 class Cochain:
-    """Finite combination of monomials with nonzero field coefficients."""
+    """Finite combination of monomials, strictly increasing index tuples
+    (else UnsortedMonomial), with nonzero field coefficients."""
 
     def __init__(self, field: Field, terms: dict[Monomial, object] | None = None):
+        if terms and not all(type(m) is tuple and all(map(lt, m, m[1:])) for m in terms):
+            raise UnsortedMonomial(f"a key of {terms!r} is not a strictly increasing tuple")
         self.field = field
         self.terms = {m: c for m, c in (terms or {}).items() if not field.is_zero(c)}
 
@@ -99,7 +107,7 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.field != other.field:
             raise FieldMismatch("cochains over different fields")
-        out = Cochain(self.field, dict(self.terms))
+        out = Cochain._of_nonzero(self.field, dict(self.terms))
         for m, c in other.terms.items():
             out.add_term(m, c)
         return out
@@ -114,7 +122,7 @@ class Cochain:
         f = self.field
         if f.is_zero(c):
             return Cochain(f)
-        return Cochain(f, {m: f.mul(v, c) for m, v in self.terms.items()})
+        return Cochain._of_nonzero(f, {m: f.mul(v, c) for m, v in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, Cochain) and self.field == other.field \

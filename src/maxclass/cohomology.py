@@ -3,7 +3,12 @@
 This is the brute-force route: dimensions come from exact ranks of the
 differential, representatives from the reduced echelon kernel basis,
 selected by the pivots of the image.  One weight complex per (algebra,
-field, k) keeps all that the table computations reuse (see _Weight).
+field, k) keeps ranks, passes and class bases (see _Weight), and no
+matrix: a table reads each d^q_k in one capped pass, then needs only the
+count.  Every reader gets d^q_k from one cache of the last three,
+_matrix, the most one cell's query reads back after its ranks: d^{q-1}_k,
+d^q_k and, after a next-degree bound, d^{q+1}_k.  Assembly costs far
+less than the pass it feeds; a zero shape, read off the bases, has none.
 
 The rank of d^q_k uses the complex.  One echelon pass, modulo the
 first prime over Q, stops at a proven bound on the rank: the support of
@@ -100,43 +105,49 @@ class _Store(dict):
         return value
 
 
+@lru_cache(maxsize=3)
+def _matrix(alg: GradedAlgebra, q: int, k: int, field: Field) -> linalg.SparseMatrix:
+    """d^q_k for every reader, here and in laplacian (see the module docstring)."""
+    return differential_matrix(alg, q, k, field)
+
+
 class _Weight:
     """C^•_k of one algebra over one field, one per (algebra, field, k)
-    through _weight.  By degree q: d[q] is d^q_k, passes[q, stop] is
-    linalg.capped_pass(d^q_k, stop), rank[q] its rank, classes[q] the class
-    basis of H^q_k, and _kernels[q] a kernel the rank certified, until
-    classes[q] takes it."""
+    through _weight.  It keeps what it derived, and no matrix: by degree
+    q, d(q) reads d^q_k from _matrix, passes[q, stop] is
+    linalg.capped_pass(d^q_k, stop), rank[q] its rank, classes[q] the
+    class basis of H^q_k, and _kernels[q] a kernel the rank certified,
+    until classes[q] takes it."""
 
     def __init__(self, alg: GradedAlgebra, field: Field, k: int):
         self.alg, self.field, self.k = alg, field, k
-        self.d = _Store(lambda q: differential_matrix(alg, q, k, field))
-        self.passes = _Store(lambda key: linalg.capped_pass(self.d[key[0]], key[1]))
+        self.d = lambda q: _matrix(alg, q, k, field)
+        self.passes = _Store(lambda key: linalg.capped_pass(self.d(key[0]), key[1]))
         self.rank, self.classes = _Store(self._rank), _Store(self._class_basis)
         self._kernels: dict[int, list] = {}
 
     def _rank(self, q: int) -> int:
-        """rank d^q_k, certified over Q: there the count of the first
-        prime's pass is the rank once it reaches a proven bound (rank_p <= rank_Q):
-          - the support, which bounds every matrix;
-          - the cap dim C^q_k - rank d^{q-1}_k, where d∘d = 0 on weight k;
-          - the next degree, where d∘d = 0 on weight k: im d^q lies in
-            ker d^{q+1}, so rank_Q d^q <= dim C^{q+1}_k - rank_p d^{q+1}_k,
-            and a pass of d^{q+1} that reaches dim C^{q+1}_k - found
-            certifies found.  That stop is the cap d^{q+1}'s own rank uses.
-        Only a cell that reaches none of them takes the certified path."""
-        d = self.d[q]
-        if d.is_zero():
+        """rank d^q_k: the count of one capped pass, over Q the rank once
+        it reaches the support, the cap or the next-degree bound, whose
+        stop is the cap d^{q+1}'s own rank uses (see the module docstring);
+        else the certified kernel, kept for the class basis.  A zero shape
+        is read off the bases, and the cap comes before d^q_k is read."""
+        cols, rows = len(_basis(self.alg, q, self.k)), len(_basis(self.alg, q + 1, self.k))
+        if not cols or not rows:
             return 0
         closed = _d_squared_vanishes(self.alg, self.k)
-        cap = d.cols - (self.rank[q - 1] if q and closed else 0)
+        cap = cols - (self.rank[q - 1] if q and closed else 0)
+        d = self.d(q)
+        if d.is_zero():
+            return 0
         found, bound = self.passes[q, cap]
         if self.field.characteristic or found == bound:
             return found
-        above = d.rows - found
+        above = rows - found
         if closed and self.passes[q + 1, above][0] == above:
             return found
         kernel = self._kernels[q] = linalg.kernel_basis(d)
-        return d.cols - len(kernel)
+        return cols - len(kernel)
 
     def _class_basis(self, q: int):
         """The canonical representatives z_f of H^q_k, ordered by f, and
@@ -157,9 +168,9 @@ class _Weight:
             self._kernels.pop(q, None)
             return (), {}
         # b^q_k > 0, so a kernel kept by the rank is not empty
-        kernel = self._kernels.pop(q, None) or linalg.kernel_basis(self.d[q])
+        kernel = self._kernels.pop(q, None) or linalg.kernel_basis(self.d(q))
         mono_basis = basis(self.alg, q, self.k)
-        d_prev = self.d[q - 1]
+        d_prev = self.d(q - 1)
         last = len(mono_basis) - 1
         flipped_rows = {c: {last - r: v for r, v in reversed(row.items())}
                         for c, row in d_prev.transpose().by_row.items()}
@@ -305,7 +316,7 @@ def is_exact(alg: GradedAlgebra, c: Cochain):
         raise NotCocycle("cochain is not closed")
     if q == 0:
         return False, None
-    M = _weight(alg, c.field, k).d[q - 1]
+    M = _matrix(alg, q - 1, k, c.field)
     u = linalg.solve_in_image(M, dict(c.terms))
     if u is None:
         return False, None

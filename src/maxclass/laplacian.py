@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import linalg
 from .algebra import GradedAlgebra
 from .cochain import Cochain, derive
-from .cohomology import RouteMismatch, _cell_positions, _weight, betti
+from .cohomology import RouteMismatch, _cell_positions, _matrix, betti
 from .explicit import d1_apply
 from .fields import QQ, Field
 
@@ -35,10 +35,10 @@ def _stacked(alg: GradedAlgebra, q: int, k: int, field: Field) -> linalg.SparseM
     integers: first those of D_q, then one per monomial of Lambda^{q-1}_k."""
     if field.characteristic != 0:
         raise FieldNotOrdered("Hodge pairing requires characteristic zero")
-    d_q = _weight(alg, field, k).d[q]
+    d_q = _matrix(alg, q, k, field)
     rows, by_row = d_q.rows, dict(d_q.by_row)
     if q >= 1:
-        d_prev = _weight(alg, field, k).d[q - 1]
+        d_prev = _matrix(alg, q - 1, k, field)
         by_row.update({rows + c: row for c, row in d_prev.transpose().by_row.items()})
         rows += d_prev.cols
     return linalg.SparseMatrix(field, rows, d_q.cols, by_row, col_labels=d_q.col_labels)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import derivation_oracle as oracle
 from maxclass import cochain
 from maxclass.algebra import GradedAlgebra, preset, subalgebra
-from maxclass.cochain import (Cochain, FieldMismatch, NegativeIndex, basis,
-                              cochain_text, cochain_to_json, derive, differential,
+from maxclass.cochain import (Cochain, FieldMismatch, NegativeIndex, UnsortedMonomial,
+                              basis, cochain_text, cochain_to_json, derive, differential,
                               differential_matrix, increasing_tuples, map_matrix,
                               sort_with_sign, wedge)
 from maxclass.combinatorics import distinct_V, partitions_P
@@ -201,6 +201,24 @@ def test_negative_indices_are_refused_by_name():
         map_matrix(QQ, [(1, 2)], [(-1, 2)], shift)
     with pytest.raises(NegativeIndex):
         map_matrix(QQ, [(0, 2)], [(0, 1)], shift)
+
+
+@pytest.mark.parametrize("terms", [{(4, 2): 1}, {(2, 2, 4): 1}, {(4, 3): 1},
+                                   {(2, 4): 1, (5, 1): 0}, {3: 1}],
+                         ids=["descending", "repeated", "unsorted", "zero-coefficient", "int"])
+def test_a_key_that_is_not_a_strictly_increasing_tuple_is_refused(terms):
+    """d reads every key as a strictly increasing monomial, so d of
+    {(4, 2): 1} in m0 would come out +e^1 e^2 e^3, the d of e^2 e^4, and
+    the zero form {(2, 2, 4): 1} would have a nonzero d: the constructor
+    refuses such a key by name, also under a zero coefficient.
+    Cochain.monomial sorts with the sign instead."""
+    assert issubclass(UnsortedMonomial, ValueError)
+    with pytest.raises(UnsortedMonomial):
+        Cochain(QQ, terms)
+    m0 = preset("m0")
+    assert differential(m0, mono((2, 4))) == mono((1, 2, 3))
+    assert differential(m0, mono((4, 2))) == -mono((1, 2, 3))
+    assert mono((2, 2, 4)).is_zero()
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)

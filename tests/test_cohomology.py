@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from maxclass import cochain, cohomology, linalg
 from maxclass.algebra import (GradedAlgebra, _m0_rule, load_custom, preset, subalgebra,
                               validate)
-from maxclass.cochain import Cochain, FieldMismatch, basis, differential
+from maxclass.cochain import Cochain, FieldMismatch, basis, differential, differential_matrix
 from maxclass.cohomology import (NotCocycle, RouteMismatch, betti, betti_table,
                                  class_coordinates, class_rank, euler_characteristic,
                                  is_exact, representatives)
@@ -158,11 +158,12 @@ def test_class_queries_refuse_cochains_over_another_field():
     assert class_rank(m0, [c], 3, 12, field=f5) == 1
 
 
-@pytest.mark.parametrize("terms", [{(1, 4): 1}, {(4, 3): 1}], ids=["not-a-generator", "unsorted"])
+@pytest.mark.parametrize("terms", [{(1, 4): 1}], ids=["not-a-generator"])
 def test_is_exact_refuses_a_closed_cochain_outside_its_cell(terms):
-    """e^1 is no generator of l3 and (4, 3) is no increasing monomial,
-    so neither cochain lies in its cell C^2_k, though d kills both:
-    is_exact raises DimensionMismatch rather than answer."""
+    """e^1 is no generator of l3, so the cochain lies in no cell C^2_k,
+    though d kills it: is_exact raises DimensionMismatch rather than
+    answer.  A key that is no increasing monomial, such as (4, 3), is
+    refused by the constructor (test_cochain)."""
     alg, c = preset("lk", 3), Cochain(QQ, terms)
     assert differential(alg, c).is_zero()
     with pytest.raises(linalg.DimensionMismatch):
@@ -303,8 +304,8 @@ def test_integral_representative_coefficients_are_int():
 def _uncapped_betti(alg, q, k, field=QQ):
     """dim C^q_k - rank d^q_k - rank d^{q-1}_k, each rank on the certified
     path without a bound."""
-    d = cohomology._weight(alg, field, k).d[q]
-    below = linalg.rank(cohomology._weight(alg, field, k).d[q - 1]) if q else 0
+    d = differential_matrix(alg, q, k, field)
+    below = linalg.rank(differential_matrix(alg, q - 1, k, field)) if q else 0
     return d.cols - linalg.rank(d) - below
 
 
@@ -328,7 +329,7 @@ def test_cap_is_refused_when_d_squared_is_not_zero():
     for q in range(5):
         for k in range(18):
             assert betti(alg, q, k) == _uncapped_betti(alg, q, k), (q, k)
-            d = cohomology._weight(alg, QQ, k).d[q]
+            d = differential_matrix(alg, q, k)
             if q and linalg.rank(d) > d.cols - cohomology._weight(alg, QQ, k).rank[q - 1]:
                 short.append((q, k))
     assert (3, 10) in short and (3, 16) in short
@@ -340,7 +341,7 @@ def test_cached_rank_equals_the_uncapped_rank(alg):
     for q in range(5):
         for k in range(21):
             assert cohomology._weight(alg, QQ, k).rank[q] \
-                == linalg.rank(cohomology._weight(alg, QQ, k).d[q]), (q, k)
+                == linalg.rank(differential_matrix(alg, q, k)), (q, k)
 
 
 @settings(max_examples=5, deadline=None)
@@ -353,21 +354,28 @@ def test_qq_cells_take_one_echelon_pass(monkeypatch):
     """Over Q every nonzero d^q_k of l1, q <= 3, is eliminated exactly
     once, in a pass at the first prime that reaches a bound, and the
     certified path never runs: also on the cells with cohomology, where
-    the cap is not reached."""
+    the cap is not reached.  Matrices are told apart by their cell, which
+    assembly writes on each: a freed matrix's id may come back."""
     eliminated = []
-    capped_pass, echelon = linalg.capped_pass, linalg._echelon
+    capped_pass, echelon, matrix = linalg.capped_pass, linalg._echelon, differential_matrix
     current = []
+
+    def assembled(alg, q, k, field):
+        M = matrix(alg, q, k, field)
+        M.cell = q, k
+        return M
+    monkeypatch.setattr(cohomology, "differential_matrix", assembled)
     monkeypatch.setattr(linalg, "capped_pass",
-                        lambda M, at_most: current.append(M) or capped_pass(M, at_most))
+                        lambda M, at_most: current.append(M.cell) or capped_pass(M, at_most))
     monkeypatch.setattr(linalg, "_echelon",
-                        lambda *args: eliminated.append(id(current[-1])) or echelon(*args))
+                        lambda *args: eliminated.append(current[-1]) or echelon(*args))
     monkeypatch.setattr(linalg, "_certified_kernel",
                         lambda *args: pytest.fail("the certified path ran"))
     l1 = preset("l1")
     cohomology._weight.cache_clear()
+    cohomology._matrix.cache_clear()
     table = {(q, k): betti(l1, q, k) for k in range(31) for q in range(4)}
-    nonzero = {id(d) for (q, k) in table
-               if not (d := cohomology._weight(l1, QQ, k).d[q]).is_zero()}
+    nonzero = {cell for cell in table if not differential_matrix(l1, *cell).is_zero()}
     assert Counter(eliminated).most_common(1)[0][1] == 1
     assert nonzero <= set(eliminated)
     assert [cell for cell, b in table.items() if b and cell[0]] \
@@ -418,11 +426,11 @@ def test_a_rank_deficient_first_prime_changes_no_betti_number(monkeypatch):
     paths, tight_when_deficient = Counter(), Counter()
     for name, j in (("m0", 5), ("m2", 9)):
         alg = _rescaled(name, 22, j)
-        ranks = {(q, k): _oracle_ranks(cohomology._weight(alg, QQ, k).d[q])
-                 for q in range(-1, 6) for k in range(23)}
+        mats = {(q, k): differential_matrix(alg, q, k) for q in range(-1, 6) for k in range(23)}
+        ranks = {cell: _oracle_ranks(d) for cell, d in mats.items()}
         for k in range(23):
             for q in range(5):
-                (r, r3, support), d = ranks[q, k], cohomology._weight(alg, QQ, k).d[q]
+                (r, r3, support), d = ranks[q, k], mats[q, k]
                 assert betti(alg, q, k) == d.cols - r - ranks[q - 1, k][0] \
                     == betti(preset(name), q, k), (name, q, k)
                 if d.is_zero():
@@ -442,9 +450,10 @@ def test_a_rank_deficient_first_prime_changes_no_betti_number(monkeypatch):
 
 def _clear_caches(monkeypatch):
     """Every cache a Betti number or a class query reads: bases,
-    compiled d e^i, the weight complexes (matrices, ranks with their
+    compiled d e^i, the matrices, the weight complexes (ranks with their
     passes, class bases) and the d∘d watermark."""
-    for cached in (cochain._basis, cochain._generator_images, cohomology._weight):
+    for cached in (cochain._basis, cochain._generator_images, cohomology._matrix,
+                   cohomology._weight):
         cached.cache_clear()
     monkeypatch.setattr(cohomology, "_D_SQUARED_ZERO", {})
 
@@ -550,7 +559,7 @@ def test_fp_cells_take_one_echelon_pass(monkeypatch):
                 before = len(passes)
                 betti(alg, q, k, field)
                 nonzero = bool(basis(alg, q, k)) \
-                    and not cohomology._weight(alg, field, k).d[q].is_zero()
+                    and not differential_matrix(alg, q, k, field).is_zero()
                 assert len(passes) - before == nonzero, (alg, q, k)
 
 
@@ -767,15 +776,22 @@ def test_readers_leave_the_cached_rows_as_they_are(monkeypatch):
     a copy.  On the rescaled truncation, whose matrices hold Fractions,
     Betti numbers, class bases, is_exact with and without a primitive,
     class_coordinates, the Hodge kernels, and capped_pass, rank and
-    kernel_basis of each matrix leave every cached matrix as it was."""
+    kernel_basis of each matrix leave every matrix the cache handed out
+    as it was assembled."""
     from maxclass import laplacian
     alg = CLASS_ALGEBRAS[-1]
     _clear_caches(monkeypatch)
-    mats = {(q, k): cohomology._weight(alg, QQ, k).d[q] for q in range(-1, 5) for k in range(13)}
 
     def typed(M):
         return [(key, v, type(v)) for key, v in M.entries.items()]
-    before = {cell: typed(M) for cell, M in mats.items()}
+    handed_out, matrix = [], differential_matrix
+
+    def assembled(*args):
+        M = matrix(*args)
+        handed_out.append((args[1:3], M, typed(M)))
+        return M
+    monkeypatch.setattr(cohomology, "differential_matrix", assembled)
+    mats = {(q, k): cohomology._matrix(alg, q, k, QQ) for q in range(-1, 5) for k in range(13)}
     assert any(type(v) is Fraction for M in mats.values() for v in M.entries.values())
     primitives = 0
     for q, k in [(q, k) for q in range(1, 4) for k in range(13)]:
@@ -791,8 +807,10 @@ def test_readers_leave_the_cached_rows_as_they_are(monkeypatch):
         if not M.is_zero():
             linalg.capped_pass(M, M.cols), linalg.rank(M), linalg.kernel_basis(M)
     assert primitives
-    assert all(cohomology._weight(alg, QQ, k).d[q] is M for (q, k), M in mats.items())
-    assert {cell: typed(M) for cell, M in mats.items()} == before
+    (q, k), last, _ = handed_out[-1]
+    assert cohomology._matrix(alg, q, k, QQ) is last
+    assert {cell for cell, _, _ in handed_out} >= set(mats)
+    assert all(typed(M) == before for _, M, before in handed_out)
 
 
 def test_every_constructor_lists_each_row_in_ascending_columns(monkeypatch):
@@ -861,6 +879,24 @@ def test_a_betti_table_never_reads_the_entries_view(monkeypatch):
     assert certified and not reads
     assert elimination_oracle.from_entries(QQ, 1, 1, {(0, 0): 2}).entries == {(0, 0): 2}
     assert len(reads) == 1
+
+
+def test_a_betti_table_keeps_no_matrix(monkeypatch):
+    """A weight complex keeps ranks, passes and class bases, and no
+    matrix: after the l1 table at q <= 4, k <= 40, with every cache
+    cleared first, no more matrices stay alive than the matrix cache
+    holds.  The matrices alive before are held, so no id is reused."""
+    import gc
+
+    def alive():
+        gc.collect()
+        return [M for M in gc.get_objects() if isinstance(M, linalg.SparseMatrix)]
+    _clear_caches(monkeypatch)
+    before = alive()
+    known = {id(M) for M in before}
+    betti_table(preset("l1"), 4, 40)
+    kept = [M for M in alive() if id(M) not in known]
+    assert len(kept) <= cohomology._matrix.cache_info().maxsize == 3
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)

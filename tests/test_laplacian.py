@@ -162,9 +162,13 @@ def test_verify_laplacian_records_a_route_mismatch(monkeypatch):
 
 def test_laplacian_reads_the_cached_differentials(monkeypatch):
     """After betti has built d^2_9 and d^1_9 of m0, the Laplacian of the
-    cell assembles no differential of its own."""
-    from maxclass import cochain
+    cell assembles no differential of its own.  The caches are cleared
+    first: a rank found earlier would leave its matrices unread, and the
+    matrix cache keeps only the last few."""
+    from maxclass import cochain, cohomology
     m0 = preset("m0")
+    cohomology._weight.cache_clear()
+    cohomology._matrix.cache_clear()
     betti(m0, 2, 9)
 
     def assembly(*args):
