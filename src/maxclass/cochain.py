@@ -374,8 +374,7 @@ def map_matrix(field: Field, source, target, images) -> SparseMatrix:
     by_row = {r: rows.pop(m) for r, m in enumerate(map(_mask, target)) if m in rows}
     if rows:
         raise DimensionMismatch(f"image {_indices(next(iter(rows)))} is outside the target")
-    return SparseMatrix(field, len(target), len(source), by_row,
-                        row_labels=target, col_labels=source)
+    return SparseMatrix(field, len(target), len(source), by_row)
 
 
 @lru_cache(maxsize=None)
@@ -409,7 +408,7 @@ def jacobi_defect(alg: GradedAlgebra, i: int) -> Cochain:
 def differential_matrix(alg: GradedAlgebra, q: int, k: int,
                         field: Field = QQ) -> SparseMatrix:
     """Matrix of d restricted to degree q, weight k, in lexicographic bases."""
-    return map_matrix(field, basis(alg, q, k), basis(alg, q + 1, k),
+    return map_matrix(field, _basis(alg, q, k), _basis(alg, q + 1, k),
                       _generator_images(alg, field))
 
 

@@ -63,7 +63,7 @@ from functools import lru_cache
 
 from . import linalg
 from .algebra import GradedAlgebra
-from .cochain import (Cochain, FieldMismatch, _basis, basis, differential,
+from .cochain import (Cochain, FieldMismatch, _basis, differential,
                      differential_matrix, jacobi_defect)
 from .fields import QQ, Field
 
@@ -169,20 +169,19 @@ class _Weight:
             return (), {}
         # b^q_k > 0, so a kernel kept by the rank is not empty
         kernel = self._kernels.pop(q, None) or linalg.kernel_basis(self.d(q))
-        mono_basis = basis(self.alg, q, self.k)
-        d_prev = self.d(q - 1)
-        last = len(mono_basis) - 1
+        cell, d_prev = _basis(self.alg, q, self.k), self.d(q - 1)
+        last = len(cell) - 1
         flipped_rows = {c: {last - r: v for r, v in reversed(row.items())}
                         for c, row in d_prev.transpose().by_row.items()}
-        flipped = linalg.SparseMatrix(self.field, d_prev.cols, d_prev.rows, flipped_rows,
-                                      col_labels=mono_basis[::-1])
-        # the free column of a flipped kernel vector is its first monomial
-        duals = {min(y): y for y in linalg.kernel_basis(flipped)}
-        reps = tuple(Cochain(self.field, z) for z in kernel if max(z) in duals)
+        flipped = linalg.SparseMatrix(self.field, d_prev.cols, d_prev.rows, flipped_rows)
+        # flipped column c is cell[last - c]; a kernel vector's free column is its last
+        duals = {last - max(y): y for y in linalg.kernel_basis(flipped)}
+        kept = [z for z in kernel if max(z) in duals]
+        reps = tuple(_cell_cochain(self.alg, q, self.k, self.field, z) for z in kept)
         functionals: dict = {}
-        for i, r in enumerate(reps):
-            for m, y in duals[max(r.terms)].items():
-                functionals.setdefault(m, []).append((i, y))
+        for i, z in enumerate(kept):
+            for c, y in duals[max(z)].items():
+                functionals.setdefault(cell[last - c], []).append((i, y))
         return reps, functionals
 
 
@@ -258,6 +257,12 @@ def _cell_positions(alg: GradedAlgebra, c: Cochain, q: int, k: int) -> dict[int,
     return out
 
 
+def _cell_cochain(alg: GradedAlgebra, q: int, k: int, field: Field, vec: dict) -> Cochain:
+    """vec, {position in the basis of C^q_k: coefficient}, as a cochain."""
+    cell = _basis(alg, q, k)
+    return Cochain(field, {cell[j]: x for j, x in vec.items()})
+
+
 def _closed(alg: GradedAlgebra, c: Cochain, q: int, k: int) -> bool:
     """Whether d c = 0, by the compiled derivation; DimensionMismatch if
     c has a monomial outside C^q_k."""
@@ -317,10 +322,10 @@ def is_exact(alg: GradedAlgebra, c: Cochain):
     if q == 0:
         return False, None
     M = _matrix(alg, q - 1, k, c.field)
-    u = linalg.solve_in_image(M, dict(c.terms))
+    u = linalg.solve_in_image(M, _cell_positions(alg, c, q, k))
     if u is None:
         return False, None
-    return True, Cochain(c.field, u)
+    return True, _cell_cochain(alg, q - 1, k, c.field, u)
 
 
 def class_coordinates(alg: GradedAlgebra, c: Cochain, reps: list[Cochain],

@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import linalg
 from .algebra import GradedAlgebra
 from .cochain import Cochain, derive
-from .cohomology import RouteMismatch, _cell_positions, _matrix, betti
+from .cohomology import RouteMismatch, _cell_cochain, _cell_positions, _matrix, betti
 from .explicit import d1_apply
 from .fields import QQ, Field
 
@@ -41,7 +41,7 @@ def _stacked(alg: GradedAlgebra, q: int, k: int, field: Field) -> linalg.SparseM
         d_prev = _matrix(alg, q - 1, k, field)
         by_row.update({rows + c: row for c, row in d_prev.transpose().by_row.items()})
         rows += d_prev.cols
-    return linalg.SparseMatrix(field, rows, d_q.cols, by_row, col_labels=d_q.col_labels)
+    return linalg.SparseMatrix(field, rows, d_q.cols, by_row)
 
 
 def laplacian_apply(alg: GradedAlgebra, c: Cochain) -> Cochain:
@@ -62,14 +62,15 @@ def laplacian_apply(alg: GradedAlgebra, c: Cochain) -> Cochain:
         if not f.is_zero(s):
             for j, a in row.items():
                 out[j] = f.add(out.get(j, f.zero), f.mul(s, a))
-    return Cochain(f, {A.col_labels[j]: v for j, v in sorted(out.items())})
+    return _cell_cochain(alg, q, k, f, dict(sorted(out.items())))
 
 
 def harmonic_basis(alg: GradedAlgebra, q: int, k: int,
                    field: Field = QQ) -> list[Cochain]:
     """Kernel basis of the Laplacian cell, in reduced echelon form; one
     vector per Betti unit, or RouteMismatch."""
-    out = [Cochain(field, v) for v in linalg.kernel_basis(_stacked(alg, q, k, field))]
+    out = [_cell_cochain(alg, q, k, field, v)
+           for v in linalg.kernel_basis(_stacked(alg, q, k, field))]
     expected = betti(alg, q, k, field)
     if len(out) != expected:
         raise RouteMismatch(f"{len(out)} harmonic forms at ({q}, {k}), "

@@ -1,5 +1,7 @@
-"""Exact sparse linear algebra over Q and F_p: rank, kernel bases and
-membership-in-image solving behind every cohomology dimension.
+"""Exact sparse linear algebra over Q and F_p on row and column indices:
+rank, kernel bases (keyed by column) and solutions of M u = v (v keyed
+by row, u by column) behind every cohomology dimension; a caller maps
+an index to what it stands for.
 
 A SparseMatrix has one constructor, which keeps the rows it is given,
 the form elimination reads: no zero entry, no empty row, and each row
@@ -34,9 +36,9 @@ class DimensionMismatch(ValueError):
 
 
 class SparseMatrix:
-    """Exact sparse matrix stored by rows, a map row -> {column: entry},
-    with optional monomial row/column labels.  It is transposed and
-    eliminated (rank, kernel_basis, solve_in_image), and nothing else.
+    """Exact sparse matrix stored by rows, a map row -> {column: entry}
+    on indices.  It is transposed and eliminated (rank, kernel_basis,
+    solve_in_image), and nothing else.
 
     The one constructor keeps `by_row` as it is given, so every caller
     writes rows that keep the contract elimination reads: no zero entry
@@ -44,15 +46,8 @@ class SparseMatrix:
     row's columns in ascending order.  `map_matrix` and `solve_in_image`
     write the columns in turn, and `transpose` walks the rows in order."""
 
-    def __init__(self, field: Field, rows: int, cols: int,
-                 by_row: dict[int, dict[int, object]] | None = None,
-                 row_labels=None, col_labels=None):
-        self.field, self.rows, self.cols = field, rows, cols
-        self.by_row: dict[int, dict[int, object]] = {} if by_row is None else by_row
-        self.row_labels = row_labels if row_labels is not None else list(range(rows))
-        self.col_labels = col_labels if col_labels is not None else list(range(cols))
-        if len(self.row_labels) != rows or len(self.col_labels) != cols:
-            raise DimensionMismatch("label lengths do not match the shape")
+    def __init__(self, field: Field, rows: int, cols: int, by_row: dict[int, dict[int, object]]):
+        self.field, self.rows, self.cols, self.by_row = field, rows, cols, by_row
 
     @property
     def entries(self) -> dict[tuple[int, int], object]:
@@ -65,8 +60,7 @@ class SparseMatrix:
         for r in sorted(self.by_row):
             for c, v in self.by_row[r].items():
                 by_col.setdefault(c, {})[r] = v
-        return SparseMatrix(self.field, self.cols, self.rows, by_col,
-                            row_labels=self.col_labels, col_labels=self.row_labels)
+        return SparseMatrix(self.field, self.cols, self.rows, by_col)
 
     def is_zero(self) -> bool:
         return not self.by_row
@@ -336,29 +330,27 @@ def rank(M: SparseMatrix) -> int:
     return len(_kernel(M)[0])
 
 
-def kernel_basis(M: SparseMatrix) -> list[dict]:
+def kernel_basis(M: SparseMatrix) -> list[dict[int, object]]:
     """Basis of the null space, size cols - rank, in reduced echelon form
-    over the column order: coefficient maps keyed by column labels."""
-    labels = M.col_labels
-    return [{labels[c]: x for c, x in vec.items()} for vec in _kernel(M)[1]]
+    over the column order: coefficient maps keyed by column index."""
+    return _kernel(M)[1]
 
 
-def solve_in_image(M: SparseMatrix, v: dict):
-    """Some u with M u = v, or None when v is outside the image, that
-    is, when the last column of [M | v] is a pivot.  Otherwise u is minus
-    the RREF kernel vector on that column, the last one, without its last
-    entry: the solution that is zero on the free columns of M."""
+def solve_in_image(M: SparseMatrix, v: dict[int, object]):
+    """Some u with M u = v, u keyed by column and v by row, or None when
+    the last column of [M | v] is a pivot, v outside the image; else u is
+    minus the RREF kernel vector on that column, the last one, without
+    its last entry: the solution that is zero on the free columns of M.
+    DimensionMismatch if v is nonzero at a key outside range(M.rows)."""
     f = M.field
-    row_index = {lbl: r for r, lbl in enumerate(M.row_labels)}
     by_row = dict(M.by_row)
-    for lbl, val in v.items():
+    for r, val in v.items():
         if f.is_zero(val):
             continue
-        if lbl not in row_index:
-            raise DimensionMismatch(f"unknown row label {lbl!r}")
-        r = row_index[lbl]
+        if r not in range(M.rows):
+            raise DimensionMismatch(f"row {r!r} is outside the {M.rows} rows")
         by_row[r] = {**by_row.get(r, {}), M.cols: val}
     pivots, vectors = _kernel(SparseMatrix(f, M.rows, M.cols + 1, by_row))
     if M.cols in pivots:
         return None
-    return {M.col_labels[c]: f.neg(x) for c, x in vectors[-1].items() if c != M.cols}
+    return {c: f.neg(x) for c, x in vectors[-1].items() if c != M.cols}

@@ -102,9 +102,9 @@ def x_derivation_matrix(mod: Sl2Module, q: int, k: int):
 
 
 def primitive_basis(mod: Sl2Module, q: int, k: int) -> list[dict]:
-    """Kernel basis of X on the weight-k subspace of Lambda^q."""
-    M = x_derivation_matrix(mod, q, k)
-    return linalg.kernel_basis(M)
+    """Kernel basis of X on the weight-k subspace of Lambda^q, by monomial."""
+    M, source = x_derivation_matrix(mod, q, k), wedge_basis(mod, q, k)
+    return [{source[j]: x for j, x in vec.items()} for vec in linalg.kernel_basis(M)]
 
 
 def finite_kernel_count(n: int, q: int) -> int:
@@ -130,5 +130,5 @@ def combination_text(c: dict, basis_name: str = "ft") -> str:
             label = "^".join(f"{basis_name}{i}" for i in key)
         else:
             label = f"{basis_name}{key}"
-        parts.append(f"{coeff} {label}")
+        parts.append(f"{coeff} {label}" if label else f"{coeff}")
     return " + ".join(parts) if parts else "0"

@@ -54,8 +54,7 @@ def map_matrix(field: Field, source, target, fn) -> SparseMatrix:
     for j, mono in enumerate(source):
         for m, v in fn(Cochain(field, {mono: field.one})).terms.items():
             entries[(row_index[m], j)] = v
-    return from_entries(field, len(target), len(source), entries,
-                        row_labels=target, col_labels=source)
+    return from_entries(field, len(target), len(source), entries)
 
 
 def assemble(field: Field, source, target, images) -> SparseMatrix:

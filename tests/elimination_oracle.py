@@ -29,23 +29,23 @@ from math import lcm
 from maxclass.linalg import SparseMatrix
 
 
-def from_entries(field, rows: int, cols: int, entries: dict[tuple[int, int], object],
-                 row_labels=None, col_labels=None) -> SparseMatrix:
+def from_entries(field, rows: int, cols: int,
+                 entries: dict[tuple[int, int], object]) -> SparseMatrix:
     """The matrix with these entries, in any order: they are sorted by
     (row, column), and an entry that is zero in the field is dropped."""
     by_row: dict[int, dict[int, object]] = {}
     for (r, c), v in sorted(entries.items()):
         if not field.is_zero(v):
             by_row.setdefault(r, {})[c] = v
-    return SparseMatrix(field, rows, cols, by_row, row_labels, col_labels)
+    return SparseMatrix(field, rows, cols, by_row)
 
 
-def from_dense(field, dense, row_labels=None, col_labels=None) -> SparseMatrix:
+def from_dense(field, dense) -> SparseMatrix:
     """The matrix with these rows, without their zero entries."""
     rows = len(dense)
     cols = len(dense[0]) if rows else 0
     entries = {(r, c): x for r, row in enumerate(dense) for c, x in enumerate(row)}
-    return from_entries(field, rows, cols, entries, row_labels, col_labels)
+    return from_entries(field, rows, cols, entries)
 
 
 def to_dense(M: SparseMatrix) -> list[list]:
@@ -56,19 +56,19 @@ def to_dense(M: SparseMatrix) -> list[list]:
     return dense
 
 
-def product(M: SparseMatrix, vec: dict) -> dict:
-    """M times a coefficient map keyed by column labels, from the dense
-    rows of M: its nonzero entries, keyed by row labels."""
+def product(M: SparseMatrix, vec: dict[int, object]) -> dict[int, object]:
+    """M times a coefficient map keyed by column index, from the dense
+    rows of M: its nonzero entries, keyed by row index."""
     f = M.field
-    assert set(vec) <= set(M.col_labels), "a label outside the columns"
-    x = [vec.get(lbl, f.zero) for lbl in M.col_labels]
+    assert set(vec) <= set(range(M.cols)), "a key outside the columns"
+    x = [vec.get(c, f.zero) for c in range(M.cols)]
     out = {}
-    for lbl, row in zip(M.row_labels, to_dense(M)):
+    for r, row in enumerate(to_dense(M)):
         s = f.zero
         for a, v in zip(row, x):
             s = f.add(s, f.mul(a, v))
         if not f.is_zero(s):
-            out[lbl] = s
+            out[r] = s
     return out
 
 

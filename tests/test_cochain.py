@@ -125,7 +125,7 @@ def test_differential_matrix_shape_and_action():
     assert M.rows == len(basis(m0, 2, 3))
     assert M.cols == len(basis(m0, 1, 3))
     # d e^3 = e^1^e^2
-    col = {M.row_labels[r]: v for (r, c), v in M.entries.items() if c == 0}
+    col = {basis(m0, 2, 3)[r]: v for (r, c), v in M.entries.items() if c == 0}
     assert col == {(1, 2): QQ.one}
 
 
@@ -229,10 +229,10 @@ def test_differential_matrix_past_one_machine_word(field):
     images = cochain._generator_images(l1, field)
     for k in (64, 65, 70):
         for q in range(3):
+            source, target = basis(l1, q, k), basis(l1, q + 1, k)
             A = differential_matrix(l1, q, k, field)
-            B = oracle.assemble(field, basis(l1, q, k), basis(l1, q + 1, k), images)
-            assert (A.rows, A.cols, A.row_labels, A.col_labels) == \
-                (B.rows, B.cols, B.row_labels, B.col_labels)
+            B = oracle.assemble(field, source, target, images)
+            assert (A.rows, A.cols) == (B.rows, B.cols) == (len(target), len(source))
             assert list(A.entries.items()) == list(B.entries.items())
             assert [type(v) for v in A.entries.values()] == \
                 [type(v) for v in B.entries.values()]

@@ -22,7 +22,6 @@ TOP = 7  # indices 1..TOP
 
 def _same_matrix(A, B):
     assert (A.rows, A.cols) == (B.rows, B.cols)
-    assert (A.row_labels, A.col_labels) == (B.row_labels, B.col_labels)
     assert A.entries == B.entries
     assert list(A.entries) == list(B.entries)
     assert [type(v) for v in A.entries.values()] == [type(v) for v in B.entries.values()]

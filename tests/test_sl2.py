@@ -90,7 +90,7 @@ def test_primitive_vectors_are_killed_by_x():
     mod = Sl2Module(LAM)
     for q, k in ((2, 5), (3, 8), (3, 10)):
         M = x_derivation_matrix(mod, q, k)
-        pos = {m: i for i, m in enumerate(M.col_labels)}
+        pos = {m: i for i, m in enumerate(wedge_basis(mod, q, k))}
         for vec in primitive_basis(mod, q, k):
             col = [QQ.zero] * M.cols
             for m, v in vec.items():
@@ -145,3 +145,4 @@ def test_relabeling_matches_d1_kernel():
 def test_combination_text():
     assert combination_text({(0, 1): Fraction(1)}) == "1 ft0^ft1"
     assert combination_text({}) == "0"
+    assert combination_text({(): 1}) == "1"
