@@ -42,6 +42,10 @@ class UnsortedMonomial(ValueError):
     """A cochain's monomial key is not a strictly increasing tuple."""
 
 
+class NotHomogeneous(ValueError):
+    """A cochain's monomials do not share one degree and one weight."""
+
+
 class NegativeIndex(ValueError):
     """A monomial or an image tuple of a derivation holds a negative
     index, which has no bit in a monomial's mask."""
@@ -129,10 +133,10 @@ class Cochain:
             and self.terms == other.terms
 
     def bidegree(self) -> tuple[int, int]:
-        """(q, k) of a homogeneous cochain."""
+        """(q, k) of a homogeneous cochain, else NotHomogeneous."""
         qks = {(len(m), sum(m)) for m in self.terms}
         if len(qks) != 1:
-            raise ValueError("cochain is not homogeneous")
+            raise NotHomogeneous("cochain is not homogeneous")
         return qks.pop()
 
     def __repr__(self):
@@ -406,10 +410,15 @@ def jacobi_defect(alg: GradedAlgebra, i: int) -> Cochain:
 
 
 def differential_matrix(alg: GradedAlgebra, q: int, k: int,
-                        field: Field = QQ) -> SparseMatrix:
-    """Matrix of d restricted to degree q, weight k, in lexicographic bases."""
-    return map_matrix(field, _basis(alg, q, k), _basis(alg, q + 1, k),
-                      _generator_images(alg, field))
+                        field: Field = QQ, dropped: int = 0) -> SparseMatrix:
+    """Matrix of d restricted to degree q, weight k, in lexicographic bases.
+    With `dropped`, a bitmask of positions in the basis of C^q_k, the
+    columns of those monomials are left out and the others keep their
+    order; the rows keep their positions in C^{q+1}_k."""
+    source = _basis(alg, q, k)
+    if dropped:
+        source = [m for i, m in enumerate(source) if not dropped >> i & 1]
+    return map_matrix(field, source, _basis(alg, q + 1, k), _generator_images(alg, field))
 
 
 def _term_order(mono: Monomial):

@@ -5,9 +5,10 @@ differential, representatives from the reduced echelon kernel basis,
 selected by the pivots of the image.  One weight complex per (algebra,
 field, k) keeps ranks, passes and class bases (see _Weight), and no
 matrix: a table reads each d^q_k in one capped pass, then needs only the
-count.  Every reader gets d^q_k from one cache of the last three,
-_matrix, the most one cell's query reads back after its ranks: d^{q-1}_k,
-d^q_k and, after a next-degree bound, d^{q+1}_k.  Assembly costs far
+count.  Every reader of a full d^q_k gets it from one cache of the last
+three, _matrix: the certified rank, class bases, is_exact and the
+Laplacian.  Only a capped pass of the rank reads a cleared matrix, which
+it assembles for itself and which no cache keeps.  Assembly costs far
 less than the pass it feeds; a zero shape, read off the bases, has none.
 
 The rank of d^q_k uses the complex.  One echelon pass, modulo the
@@ -21,7 +22,18 @@ rank d^q_k <= dim C^{q+1}_k - rank_p d^{q+1}_k; that pass is kept, and
 it is the one the rank of d^{q+1} reads.  Only a cell that reaches none
 of the three bounds takes the certified modular path: at a prime that
 loses no rank, a cell whose rank is below its support and that has
-cohomology in both degrees q and q+1.
+cohomology in both degrees q and q+1.  That path eliminates the full
+d^q_k.
+
+Where d∘d = 0 on weight k, the passes are cleared, as in persistent
+homology (Chen & Kerber 2011; Bauer, Kerber & Reininghaus 2014): the
+rows of d^{q-1}_k that gave a pivot in its pass are monomials of
+C^q_k, and the pass of d^q_k leaves out their columns.  Those rows are
+independent mod p, so over Q too, and since d^q d^{q-1} = 0 each
+dropped column is a combination of the kept ones: the cleared matrix
+has the rank of d^q_k over Q and over every F_p, and once the pass of
+d^{q-1}_k has found its whole rank, exactly `cap` columns.  Where
+d∘d != 0 nothing is cleared.
 
 No rule is trusted to satisfy Jacobi.  d∘d is an even derivation in
 every characteristic, so it vanishes on weight k once d d e^i = 0 for
@@ -114,39 +126,66 @@ def _matrix(alg: GradedAlgebra, q: int, k: int, field: Field) -> linalg.SparseMa
 class _Weight:
     """C^•_k of one algebra over one field, one per (algebra, field, k)
     through _weight.  It keeps what it derived, and no matrix: by degree
-    q, d(q) reads d^q_k from _matrix, passes[q, stop] is
-    linalg.capped_pass(d^q_k, stop), rank[q] its rank, classes[q] the
-    class basis of H^q_k, and _kernels[q] a kernel the rank certified,
-    until classes[q] takes it."""
+    q, d(q) reads d^q_k from _matrix, passes[q, stop] is the capped pass
+    of d^q_k cleared by _pivot_rows[q - 1] (see _pass), rank[q] its rank,
+    classes[q] the class basis of H^q_k, and _kernels[q] a kernel the
+    rank certified, until classes[q] takes it."""
 
     def __init__(self, alg: GradedAlgebra, field: Field, k: int):
         self.alg, self.field, self.k = alg, field, k
         self.d = lambda q: _matrix(alg, q, k, field)
-        self.passes = _Store(lambda key: linalg.capped_pass(self.d(key[0]), key[1]))
+        self.passes = _Store(self._pass)
         self.rank, self.classes = _Store(self._rank), _Store(self._class_basis)
         self._kernels: dict[int, list] = {}
+        # q -> bitmask of the rows of d^q_k, positions in C^{q+1}_k, that
+        # gave a pivot in its last pass; kept only where d∘d = 0
+        self._pivot_rows: dict[int, int] = {}
+
+    def _pass(self, key: tuple[int, int]) -> tuple[int, int]:
+        """(found, bound) of linalg.capped_pass(d^q_k, stop) on the columns
+        of d^q_k left by clearing, those outside _pivot_rows[q - 1]; where
+        d∘d = 0 on weight k, the rows that gave its pivots become
+        _pivot_rows[q].  A cleared matrix is assembled for this pass
+        alone, and nothing else reads it; with no column to clear, the
+        pass reads d^q_k from _matrix."""
+        q, stop = key
+        dropped = self._pivot_rows.get(q - 1, 0)
+        d = differential_matrix(self.alg, q, self.k, self.field, dropped) if dropped else self.d(q)
+        found, bound, rows = linalg.capped_pass(d, stop)
+        if _d_squared_vanishes(self.alg, self.k):
+            self._pivot_rows[q] = sum(1 << r for r in rows)   # the rows are distinct
+        return found, bound
 
     def _rank(self, q: int) -> int:
         """rank d^q_k: the count of one capped pass, over Q the rank once
         it reaches the support, the cap or the next-degree bound, whose
         stop is the cap d^{q+1}'s own rank uses (see the module docstring);
-        else the certified kernel, kept for the class basis.  A zero shape
-        is read off the bases, and the cap comes before d^q_k is read."""
+        else the certified kernel of the full d^q_k, kept for the class
+        basis.  A zero shape is read off the bases, and the cap comes
+        before d^q_k is assembled.
+
+        Where d∘d = 0 on weight k the pass is cleared (see _pass): it
+        leaves out the columns of d^q_k at R, the rows of d^{q-1}_k that
+        gave a pivot in its last pass, whatever its stop.  They are
+        independent mod p, so over Q too, and the coboundaries then hold
+        for each t in R some b_t with b_t[t] = 1 and zero on the rest of
+        R; d b_t = 0 makes column t of d^q_k a combination of the columns
+        outside R.  So the cleared matrix has the rank of d^q_k over Q and
+        over F_p, and once |R| = rank d^{q-1}_k it has exactly `cap`
+        columns.  Its own pivot rows clear the passes of d^{q+1}_k, the
+        next-degree one included.  Only the passes read cleared matrices."""
         cols, rows = len(_basis(self.alg, q, self.k)), len(_basis(self.alg, q + 1, self.k))
         if not cols or not rows:
             return 0
         closed = _d_squared_vanishes(self.alg, self.k)
         cap = cols - (self.rank[q - 1] if q and closed else 0)
-        d = self.d(q)
-        if d.is_zero():
-            return 0
         found, bound = self.passes[q, cap]
         if self.field.characteristic or found == bound:
             return found
         above = rows - found
         if closed and self.passes[q + 1, above][0] == above:
             return found
-        kernel = self._kernels[q] = linalg.kernel_basis(d)
+        kernel = self._kernels[q] = linalg.kernel_basis(self.d(q))
         return cols - len(kernel)
 
     def _class_basis(self, q: int):
@@ -313,7 +352,8 @@ def representatives(alg: GradedAlgebra, q: int, k: int,
 
 
 def is_exact(alg: GradedAlgebra, c: Cochain):
-    """(True, primitive u with du = c) or (False, None); c must be closed."""
+    """(True, primitive u with du = c) or (False, None); c must be closed
+    (else NotCocycle) and lie in one cell (else NotHomogeneous)."""
     if c.is_zero():
         return True, Cochain(c.field)
     q, k = c.bidegree()
@@ -378,7 +418,7 @@ def class_rank(alg: GradedAlgebra, cochains: list[Cochain], q: int, k: int,
         return None
     reps, functionals = _weight(alg, field, k).classes[q]
     M = _class_matrix(field, functionals, cochains, len(reps))
-    found, bound = linalg.capped_pass(M, len(reps))
+    found, bound, _ = linalg.capped_pass(M, len(reps))
     return found if field.characteristic or found == bound else linalg.rank(M)
 
 

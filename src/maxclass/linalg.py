@@ -17,8 +17,9 @@ remaindering and rational reconstruction, and checks each exactly before
 it returns (see _certified_kernel).  A full pass takes the rows
 bottom-up, latest leading column first, so that pivot rows stay short.
 A capped pass stops at a proven bound, where over Q its count needs no
-check, and takes the rows in the order of _triangular_first, which in a
-full pass would only add fill-in.
+check, takes the rows in the order of _triangular_order, which in a
+full pass would only add fill-in, and names the rows that gave its
+pivots.
 """
 from __future__ import annotations
 
@@ -88,10 +89,13 @@ def _primes():
         yield _PRIMES[i]
 
 
-def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
+def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None,
+             gave: list[int] | None = None):
     """Row echelon form mod p as pivot rows keyed by pivot column (their
     smallest column, scaled to 1); with `stop`, the pass ends as soon as
-    it has that many pivots.
+    it has that many pivots.  With `gave`, a list, the position in `rows`
+    of each row that gives a pivot is appended to it: those rows are
+    independent mod p.
 
     Each row is reduced in a dense accumulator, a list of integers as
     wide as the matrix, and an integer bitmask of its touched columns is
@@ -104,7 +108,7 @@ def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
     acc = [0] * ncols
     pivots: dict[int, dict[int, int]] = {}     # each lacks its pivot entry 1 until the end
     masks: dict[int, int] = {}
-    for src in rows:
+    for i, src in enumerate(rows):
         if len(pivots) == stop:
             break
         mask = 0
@@ -136,6 +140,8 @@ def _echelon(rows: list[dict[int, int]], p: int, stop: int | None = None):
                     else:
                         tail ^= low
                 masks[c] = tail
+                if gave is not None:
+                    gave.append(i)
                 break
             for j, x in prow.items():
                 acc[j] -= v * x
@@ -238,18 +244,25 @@ def _certified_kernel(rows: list[dict[int, int]], ncols: int):
     raise CertificationError("no prime left to certify the elimination")
 
 
-def _rows(M: SparseMatrix) -> list[dict[int, int]]:
-    """The rows of M as integer maps keyed by column, in bottom-up order:
-    the latest leading column (its first key) first, the later row first
-    on ties, so that pivot rows have few columns right of their pivots.
-    They are the stored rows, except that over Q a row holding a Fraction
-    is replaced by a copy scaled by the lcm of its denominators."""
-    rows = [row for _, _, row in sorted([(next(iter(row)), r, row) for r, row in M.by_row.items()],
-                                        reverse=True)]
+def _keyed_rows(M: SparseMatrix) -> tuple[list[int], list[dict[int, int]]]:
+    """The keys of the rows of M and the rows as integer maps keyed by
+    column, both in bottom-up order: the latest leading column (a row's
+    first key) first, the later row first on ties, so that pivot rows
+    have few columns right of their pivots.  They are the stored rows,
+    except that over Q a row holding a Fraction is replaced by a copy
+    scaled by the lcm of its denominators; the keys name them either way."""
+    keys = [r for _, r in sorted([(next(iter(row)), r) for r, row in M.by_row.items()],
+                                 reverse=True)]
+    rows = [M.by_row[r] for r in keys]
     if M.field.characteristic == 0 and \
             not set(map(type, chain.from_iterable(map(dict.values, rows)))) <= {int}:
         rows = [row if all(type(v) is int for v in row.values()) else _scaled(row) for row in rows]
-    return rows
+    return keys, rows
+
+
+def _rows(M: SparseMatrix) -> list[dict[int, int]]:
+    """The rows of M in the order of _keyed_rows, without their keys."""
+    return _keyed_rows(M)[1]
 
 
 def _scaled(row: dict) -> dict[int, int]:
@@ -258,30 +271,30 @@ def _scaled(row: dict) -> dict[int, int]:
     return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
 
 
-def _one_per(rows: list[dict[int, int]], columns, met: set[int]):
-    """The first row for each of its `columns` not in `met`, and the
-    other rows, both in the given order; `met` gains the new columns."""
+def _one_per(items, columns, met: set[int]):
+    """The first item for each of its `columns` not in `met`, and the
+    other items, both in the given order; `met` gains the new columns."""
     chosen, others = [], []
-    for c, row in zip(columns, rows):
+    for c, item in zip(columns, items):
         if c in met:
-            others.append(row)
+            others.append(item)
         else:
             met.add(c)
-            chosen.append(row)
+            chosen.append(item)
     return chosen, others
 
 
-def _triangular_first(rows: list[dict[int, int]]) -> list[dict[int, int]]:
-    """The rows regrouped for a capped pass: one row for each leading
-    column, then one row for each last column not yet met, then the
-    rest, each group in the given order; a row's leading and last columns
-    are its first and last keys.  Rows with distinct leading (or last)
-    columns form a triangular block with a nonzero diagonal, so the pass
-    meets most of its pivots before any row that reduces to zero
-    (structural pivots: Faugère & Lachartre, PASCO 2010)."""
-    leading, rest = _one_per(rows, map(next, map(iter, rows)), set())
-    last, rest = _one_per(rest, map(next, map(reversed, rest)),
-                          set(map(next, map(reversed, leading))))
+def _triangular_order(rows: list[dict[int, int]]) -> list[int]:
+    """The positions of the rows regrouped for a capped pass: one row for
+    each leading column, then one row for each last column not yet met,
+    then the rest, each group in the given order; a row's leading and
+    last columns are its first and last keys.  Rows with distinct
+    leading (or last) columns form a triangular block with a nonzero
+    diagonal, so the pass meets most of its pivots before any row that
+    reduces to zero (structural pivots: Faugère & Lachartre, PASCO 2010)."""
+    leading, rest = _one_per(range(len(rows)), map(next, map(iter, rows)), set())
+    last, rest = _one_per(rest, (next(reversed(rows[i])) for i in rest),
+                          {next(reversed(rows[i])) for i in leading})
     return leading + last + rest
 
 
@@ -303,24 +316,38 @@ def _kernel(M: SparseMatrix):
     return sorted(echelon), list(vectors.values())
 
 
-def capped_pass(M: SparseMatrix, at_most: int) -> tuple[int, int]:
+def capped_pass(M: SparseMatrix, at_most: int) -> tuple[int, int, list[int]]:
     """One echelon pass of M, modulo p over F_p and modulo the first prime
-    over Q, that stops at its b-th pivot: (its pivot count, b).
+    over Q, that stops at its b-th pivot: (its pivot count, b, the keys
+    of the rows that gave its pivots).  A matrix with no entries is not
+    eliminated.
 
     `at_most` is a promise of the caller: rank M <= at_most (over Q,
     rank_Q M <= at_most).  b is the least of at_most, the number of
     nonzero rows and the number of nonzero columns of M; the last two
     bound every rank, are read off the rows the pass takes, and count
     the entries of M, not their residues.  The pass takes the rows sorted
-    and regrouped on their first and last keys (_rows, _triangular_first);
-    its pivot count does not depend on the order.  Over F_p it is the
-    rank, whether the pass stops at b or ends below it.  Over Q a count
-    equal to b is the rank, since rank_p <= rank_Q <= b; a count below b
-    is only a lower bound.  A wrong promise gives a wrong rank."""
-    rows = _rows(M)
+    and regrouped on their first and last keys (_keyed_rows,
+    _triangular_order); its pivot count does not depend on the order.
+    Over F_p it is the rank, whether the pass stops at b or ends below
+    it.  Over Q a count equal to b is the rank, since rank_p <= rank_Q
+    <= b; a count below b is only a lower bound.  A wrong promise gives a
+    wrong rank.
+
+    The rows that gave a pivot are independent mod p, so also over Q,
+    whatever the count.  Where M is d^{q-1}_k of a complex with d∘d = 0
+    on weight k, d^q_k without the columns at those rows has the rank of
+    d^q_k over Q and over F_p, and once the count is rank d^{q-1}_k, the
+    cap's number of columns (see cohomology._Weight._rank).  Only capped
+    passes read matrices cleared this way."""
+    if M.is_zero():
+        return 0, 0, []
+    keys, rows = _keyed_rows(M)
     bound = min(at_most, len(rows), len(set().union(*rows)))
     p = M.field.characteristic or next(_primes())
-    return len(_echelon(_triangular_first(rows), p, bound)), bound
+    order, gave = _triangular_order(rows), []
+    found = len(_echelon([rows[i] for i in order], p, bound, gave))
+    return found, bound, [keys[order[i]] for i in gave]
 
 
 def rank(M: SparseMatrix) -> int:

@@ -18,7 +18,8 @@ earlier preparation of the rows of a matrix stored by entries: the
 reference for `_rows`, which sorts the stored rows instead.
 `triangular_first` is the engine's earlier regroup for a capped pass,
 which took each row's min and max: the reference for
-`_triangular_first`, which reads a row's first and last key instead.
+`_triangular_order`, which reads a row's first and last key instead
+and returns positions.
 """
 from __future__ import annotations
 

@@ -241,7 +241,7 @@ def test_differential_matrix_past_one_machine_word(field):
 def test_bidegree():
     c = mono((2, 5))
     assert c.bidegree() == (2, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(cochain.NotHomogeneous):
         (mono((2, 5)) + mono((3, 5))).bidegree()
 
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from maxclass import cochain, cohomology, linalg
 from maxclass.algebra import (GradedAlgebra, _m0_rule, load_custom, preset, subalgebra,
                               validate)
-from maxclass.cochain import Cochain, FieldMismatch, basis, differential, differential_matrix
+from maxclass.cochain import (Cochain, FieldMismatch, NotHomogeneous, basis, differential,
+                              differential_matrix)
 from maxclass.cohomology import (NotCocycle, RouteMismatch, betti, betti_table,
                                  class_coordinates, class_rank, euler_characteristic,
                                  is_exact, representatives)
@@ -115,6 +116,17 @@ def test_is_exact_witness():
     with pytest.raises(NotCocycle):
         # d(e2^e5) = e1^e2^e4 is nonzero
         is_exact(m0, Cochain.monomial(QQ, (2, 5)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+def test_is_exact_refuses_a_cochain_that_is_not_homogeneous(field):
+    """e^1 + e^2 ^ e^3 lies in two cells, (1, 1) and (2, 5): is_exact
+    says so by name, a ValueError as before."""
+    c = Cochain(field, {(1,): field.one, (2, 3): field.one})
+    for alg in (preset("m0"), preset("l1")):
+        with pytest.raises(NotHomogeneous):
+            is_exact(alg, c)
+    assert issubclass(NotHomogeneous, ValueError)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
@@ -350,18 +362,98 @@ def test_cached_rank_equals_the_uncapped_rank_on_lk(n):
     test_cached_rank_equals_the_uncapped_rank(preset("lk", n))
 
 
+def _field_rank(d, field):
+    """The rank of d over its field, by dense elimination in the test
+    oracle, which shares no code with linalg: over Q of the rows scaled
+    to integers, over F_p of their residues."""
+    if d.is_zero():
+        return 0
+    rows = elimination_oracle.integer_rows(elimination_oracle.to_dense(d))
+    p = field.characteristic
+    if p:
+        return elimination_oracle.rref_fp([[x % p for x in row] for row in rows], d.cols, p)[0]
+    return elimination_oracle.rank_int(rows, d.cols)
+
+
+def _check_clearing(alg, field, qmax, kmax):
+    """Every cell q <= qmax, k <= kmax: the matrix the rank passes read,
+    d^q_k without the columns at the pivot rows of d^{q-1}_k, has the
+    oracle rank of the full d^q_k, and so has the cached rank; every
+    pass of the cell finds at most that rank, over F_p exactly it.  Where
+    d∘d != 0 nothing is cleared.  Once the pivot rows are as many as
+    rank d^{q-1}_k, the cleared matrix has exactly the cap's columns."""
+    cleared_cells = 0
+    for k in range(kmax + 1):
+        weight = cohomology._weight(alg, field, k)
+        closed = cohomology._d_squared_vanishes(alg, k)
+        for q in range(qmax + 1):
+            full = differential_matrix(alg, q, k, field)
+            r = _field_rank(full, field)
+            assert weight.rank[q] == r, (q, k)
+            dropped = weight._pivot_rows.get(q - 1, 0)
+            assert closed or not dropped, (q, k)
+            cleared = differential_matrix(alg, q, k, field, dropped)
+            assert _field_rank(cleared, field) == r, (q, k)
+            cleared_cells += bool(dropped)
+            if q and dropped.bit_count() == weight.rank[q - 1]:
+                assert cleared.cols == full.cols - weight.rank[q - 1], (q, k)
+            for (degree, _), (found, bound) in weight.passes.items():
+                if degree == q:
+                    assert found == r if field.characteristic else found <= r <= bound, (q, k)
+    return cleared_cells
+
+
+CLEARING_FIELDS = [QQ, PrimeField(3), PrimeField(2 ** 31 - 1)]
+
+
+@pytest.mark.parametrize("field", CLEARING_FIELDS, ids=repr)
+@pytest.mark.parametrize("name, n, qmax, kmax", [("m0n", 10, 10, 55), ("m2n", 10, 10, 55),
+                                                 ("l1quot", 12, 12, 78)],
+                         ids=["m0n:10", "m2n:10", "l1quot:12"])
+def test_clearing_keeps_every_rank_of_the_truncations(name, n, qmax, kmax, field):
+    """Every cell of m0n:10, m2n:10 and l1quot:12 (see _check_clearing)."""
+    cohomology._weight.cache_clear()
+    assert _check_clearing(preset(name, n), field, qmax, kmax)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(st.tuples(st.sampled_from(CLEARING_FIELDS),
+                           st.builds(lambda n: preset("lk", n), st.integers(1, 6))),
+                 st.tuples(st.sampled_from([QQ, CLEARING_FIELDS[-1]]),
+                           st.builds(lambda name, n, j: _rescaled(name, n, j % n + 1),
+                                     st.sampled_from(["m0", "m2", "l1"]), st.integers(8, 14),
+                                     st.integers(0, 13)))),
+       st.integers(10, 18))
+def test_clearing_keeps_every_rank_on_lk_and_rescaled_truncations(case, kmax):
+    """Random lk truncations at weight kmax, and rescaled truncations,
+    whose rows over Q hold Fractions; over F_3, where their constants
+    with denominator 3 have no value, only the lk (see _check_clearing)."""
+    field, alg = case
+    _check_clearing(alg, field, 4, kmax)
+
+
+@pytest.mark.parametrize("field", CLEARING_FIELDS, ids=repr)
+def test_nothing_is_cleared_where_d_squared_is_not_zero(field):
+    """On the algebra of test_cap_is_refused_when_d_squared_is_not_zero,
+    pivot rows of d^{q-1}_k prove nothing about d^q_k; every rank there
+    is the oracle's (see _check_clearing).  Below the first weight where
+    d∘d != 0 the passes are cleared."""
+    assert _check_clearing(_no_jacobi(), field, 4, 17)
+
+
 def test_qq_cells_take_one_echelon_pass(monkeypatch):
     """Over Q every nonzero d^q_k of l1, q <= 3, is eliminated exactly
     once, in a pass at the first prime that reaches a bound, and the
     certified path never runs: also on the cells with cohomology, where
     the cap is not reached.  Matrices are told apart by their cell, which
-    assembly writes on each: a freed matrix's id may come back."""
+    assembly writes on each, cleared or not: a freed matrix's id may
+    come back."""
     eliminated = []
     capped_pass, echelon, matrix = linalg.capped_pass, linalg._echelon, differential_matrix
     current = []
 
-    def assembled(alg, q, k, field):
-        M = matrix(alg, q, k, field)
+    def assembled(alg, q, k, field, *dropped):
+        M = matrix(alg, q, k, field, *dropped)
         M.cell = q, k
         return M
     monkeypatch.setattr(cohomology, "differential_matrix", assembled)

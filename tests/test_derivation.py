@@ -105,7 +105,8 @@ def test_cancelled_terms_restart_from_zero():
     it afresh, after the other entries and with its own type; a zero
     coefficient leaves no entry.  A row whose terms all cancel leaves no
     row behind, so the matrix with no other row is zero and a capped
-    pass over it takes no row."""
+    pass over it takes no row: it finds no pivot, has the bound 0 and
+    names no pivot row."""
     half = QQ.of(1, 2)
     image = [(half, (2,)), (-half, (2,)), (0, (3,)), (3, (2,)), (1, (3,))]
     c = Cochain.monomial(QQ, (1,))
@@ -118,7 +119,7 @@ def test_cancelled_terms_restart_from_zero():
         M = map_matrix(field, [(1,)], [(2,), (3,)], lambda i: cancelling)
         _same_matrix(M, oracle.assemble(field, [(1,)], [(2,), (3,)], lambda i: cancelling))
         assert M.is_zero() and M.entries == {} and M.by_row == {}
-        assert capped_pass(M, 1) == (0, 0)
+        assert capped_pass(M, 1) == (0, 0, [])
 
 
 def test_derive_does_not_depend_on_the_term_order():

@@ -7,7 +7,7 @@ import pytest
 from maxclass import laplacian
 from maxclass.algebra import preset
 from maxclass.cochain import Cochain, basis, differential, differential_matrix
-from maxclass.cohomology import RouteMismatch, betti, is_exact
+from maxclass.cohomology import RouteMismatch, betti, is_exact, representatives
 from maxclass.fields import QQ, PrimeField
 from maxclass.laplacian import (
     FieldNotOrdered,
@@ -162,15 +162,18 @@ def test_verify_laplacian_records_a_route_mismatch(monkeypatch):
 
 
 def test_laplacian_reads_the_cached_differentials(monkeypatch):
-    """After betti has built d^2_9 and d^1_9 of m0, the Laplacian of the
-    cell assembles no differential of its own.  The caches are cleared
-    first: a rank found earlier would leave its matrices unread, and the
-    matrix cache keeps only the last few."""
+    """After betti and the class basis of the cell (b^2_9 = 1) have read
+    d^2_9 and d^1_9 of m0, the Laplacian of the cell assembles no
+    differential of its own.  The caches are cleared first: a class
+    basis found earlier would leave its matrices unread, and the matrix
+    cache keeps only the last few.  The rank passes read cleared
+    matrices of their own, so it is the class basis that leaves the
+    full ones in the cache."""
     from maxclass import cochain, cohomology
     m0 = preset("m0")
     cohomology._weight.cache_clear()
     cohomology._matrix.cache_clear()
-    betti(m0, 2, 9)
+    assert betti(m0, 2, 9) == len(representatives(m0, 2, 9)) == 1
 
     def assembly(*args):
         raise AssertionError("a matrix assembled past the cell cache")

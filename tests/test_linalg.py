@@ -468,18 +468,25 @@ def test_results_do_not_depend_on_row_order(case, data):
 def test_capped_rank_equals_the_rank(case, extra):
     """The capped pass with the tight promise b = rank M reaches b, on
     every row order; with a looser one its count is at most rank M, and
-    equal to it over F_p."""
+    equal to it over F_p.  Either way it names as many distinct rows as
+    it found pivots, and those rows of the matrix have full rank."""
     field, dense, perm = case
     M = oracle.from_dense(field, dense)
     P = oracle.from_dense(field, [dense[r] for r in perm])
     r = rank(M)
     assert rank(P) == r
     for X in (M, P):
-        assert capped_pass(X, r) == (r, r)
-        found, bound = capped_pass(X, r + 1 + extra)
-        assert found <= r <= bound
-        if field.characteristic:
-            assert found == r
+        for at_most in (r, r + 1 + extra):
+            found, bound, pivot_rows = capped_pass(X, at_most)
+            if at_most == r:
+                assert (found, bound) == (r, r)
+            assert found <= r <= bound
+            if field.characteristic:
+                assert found == r
+            assert len(set(pivot_rows)) == len(pivot_rows) == found
+            assert set(pivot_rows) <= set(X.by_row)
+            assert rank(SparseMatrix(field, found, X.cols,
+                                     dict(enumerate(X.by_row[i] for i in pivot_rows)))) == found
 
 
 @pytest.mark.parametrize("dense,scaled,r", [
@@ -528,10 +535,10 @@ def test_stored_rows_equal_the_regrouped_entries(field, data):
 
 
 def _same_regroup(rows):
-    """`_triangular_first`, which reads each row's first and last key,
-    returns the same rows in the same order as the regroup on each row's
+    """`_triangular_order`, which reads each row's first and last key,
+    gives the same rows in the same order as the regroup on each row's
     min and max, and every row once."""
-    regrouped = linalg._triangular_first(rows)
+    regrouped = [rows[i] for i in linalg._triangular_order(rows)]
     assert list(map(id, regrouped)) == list(map(id, oracle.triangular_first(rows)))
     assert sorted(map(id, regrouped)) == sorted(map(id, rows))
 
@@ -551,12 +558,12 @@ def _zero_rows_before_the_last_pivot(M, at_most, monkeypatch):
     passes = []
     echelon = linalg._echelon
 
-    def recorded(rows, p, stop=None):
+    def recorded(rows, p, stop=None, gave=None):
         passes.append((rows, p, stop))
-        return echelon(rows, p, stop)
+        return echelon(rows, p, stop, gave)
 
     monkeypatch.setattr(linalg, "_echelon", recorded)
-    assert capped_pass(M, at_most) == (at_most, at_most)
+    assert capped_pass(M, at_most)[:2] == (at_most, at_most)
     (rows, p, stop), = passes
     kept = {id(row) for row in oracle.heap_echelon(rows, p, stop)[1]}
     last = max(i for i, row in enumerate(rows) if id(row) in kept)
