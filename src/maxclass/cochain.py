@@ -18,9 +18,8 @@ any other map.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import lru_cache
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
+from functools import lru_cache, partial
 from operator import lt
 
 from .algebra import GradedAlgebra
@@ -160,55 +159,42 @@ def wedge(a: Cochain, b: Cochain) -> Cochain:
     return out
 
 
+def _cell(q: int, k: int, heads, cell) -> tuple[Monomial, ...]:
+    """The strictly increasing q-tuples with sum k over an ascending pool
+    of integers, in lexicographic order.  heads(b) lists the pool up to
+    b; cell(q - 1, k') is a cell one degree down, cached by the caller.
+    Each head a with q*a + q(q-1)/2 <= k (the least sum of q increasing
+    integers from a) goes before every tail of cell(q - 1, k - a) above
+    a, found by one `bisect` on (a + 1,): one concatenation a tuple."""
+    if q < 2:
+        if q == 1:
+            return ((k,),) if k in heads(k)[-1:] else ()
+        return ((),) if q == k == 0 else ()
+    out: list[Monomial] = []
+    for a in heads((k - q * (q - 1) // 2) // q):
+        head, tails = (a,), cell(q - 1, k - a)
+        out += [head + t for t in tails[bisect_left(tails, (a + 1,)):]]
+    return tuple(out)
+
+
 def increasing_tuples(indices, q: int, k: int) -> list[Monomial]:
     """All strictly increasing q-tuples drawn from the strictly ascending
-    integer sequence `indices` with sum k, in lexicographic order.
-
-    A branch with `slots` places left is cut from both ends, so the work
-    follows the output: its smallest completion, the next `slots` pool
-    entries, must not exceed the remaining sum, and its largest, the top
-    `slots` entries of the pool, must reach it; both come from prefix and
-    suffix sums taken once per call.  It also stops when fewer than
-    `slots` entries are left.  The last two places close in one loop:
-    for each i, j = remaining - i is looked up with `bisect`."""
+    integer sequence `indices` with sum k, in lexicographic order (the
+    sl(2) wedge bases, whose pool starts at 0).  `_cell` builds each
+    cell from the cells one degree down, kept for this call."""
     pool = list(indices)
-    n = len(pool)
-    if not 0 < q <= n:
-        return [()] if q == k == 0 else []
-    low = [0, *accumulate(pool)]            # low[p]: the sum of pool[:p]
-    top = [0, *accumulate(reversed(pool))]  # top[s]: the sum of the s largest
-    out: list[Monomial] = []
 
-    def extend(prefix, start, remaining, slots):
-        rest = slots - 1
-        # the first i whose completion can reach the remaining sum
-        pos = bisect_left(pool, remaining - top[rest], start)
-        if rest == 0:
-            if pos < n and pool[pos] == remaining:
-                out.append(prefix + (remaining,))
-        elif rest == 1:
-            for pos in range(pos, n - 1):
-                i = pool[pos]
-                j = remaining - i
-                if j <= i:
-                    break
-                at = bisect_left(pool, j, pos + 1)
-                if at < n and pool[at] == j:
-                    out.append(prefix + (i, j))
-        else:
-            for pos in range(pos, n - rest):
-                if low[pos + slots] - low[pos] > remaining:
-                    break
-                i = pool[pos]
-                extend(prefix + (i,), pos + 1, remaining - i, rest)
-
-    extend((), 0, k, q)
-    return out
+    @lru_cache(maxsize=None)
+    def cell(q, k):
+        return _cell(q, k, lambda b: pool[:bisect_right(pool, b)], cell)
+    return list(cell(q, k))
 
 
 @lru_cache(maxsize=None)
 def _basis(alg: GradedAlgebra, q: int, k: int) -> tuple[Monomial, ...]:
-    return tuple(increasing_tuples(alg.generators_up_to(k), q, k))
+    """C^q_k of `alg`, built by `_cell` from the cached cells below it,
+    which a cell asked cold builds and keeps."""
+    return _cell(q, k, alg.generators_up_to, partial(_basis, alg))
 
 
 def basis(alg: GradedAlgebra, q: int, k: int) -> list[Monomial]:
@@ -405,8 +391,19 @@ def jacobi_defect(alg: GradedAlgebra, i: int) -> Cochain:
     """d d e^i over Q.  Its coefficient on e^a ^ e^b ^ e^c, a < b < c,
     is the coefficient on e_i of the Jacobiator [[e_a, e_b], e_c] +
     [[e_b, e_c], e_a] + [[e_c, e_a], e_b], up to sign; so its monomials
-    are exactly the triples with a + b + c = i where Jacobi fails."""
-    return differential(alg, differential(alg, Cochain.monomial(QQ, (i,))))
+    are exactly the triples with a + b + c = i where Jacobi fails.
+    Each compiled term (mask, S, (v, -v)) of d e^i is v e^a ^ e^b; d of
+    it is summed by target mask, with the sign rule of `_derived_rows`."""
+    terms = _generator_images(alg, QQ)
+    out: dict[int, object] = {}
+    for mm, _, (v, _) in terms[i]:
+        for x in _indices(mm):
+            base = mm ^ (1 << x)
+            for mask, S, vs in terms[x]:
+                if not base & mask:
+                    w = QQ.mul(v, vs[(base & S).bit_count() & 1])
+                    out[base | mask] = QQ.add(out.get(base | mask, 0), w)
+    return Cochain._of_nonzero(QQ, {_indices(m): c for m, c in out.items() if not QQ.is_zero(c)})
 
 
 def differential_matrix(alg: GradedAlgebra, q: int, k: int,

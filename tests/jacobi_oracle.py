@@ -6,10 +6,21 @@ triples a < b < c with a + b + c <= bound, reading the Jacobiator
 from the scalar `bracket`.  Each bracket lands in the one-dimensional
 component of weight a + b + c, so J is one scalar.  Slow and simple, it
 is the oracle `validate`, which reads d d e^i, is compared against.
+
+`defect` is d applied twice to the monomial e^i through the public
+`differential`: the oracle that `cochain.jacobi_defect`, one pass of d
+over the compiled image of d e^i, is compared against.
 """
 from __future__ import annotations
 
 from maxclass.algebra import GradedAlgebra
+from maxclass.cochain import Cochain, differential
+from maxclass.fields import QQ
+
+
+def defect(alg: GradedAlgebra, i: int) -> Cochain:
+    """d d e^i over Q, by two passes of `differential`."""
+    return differential(alg, differential(alg, Cochain.monomial(QQ, (i,))))
 
 
 def _nested(alg: GradedAlgebra, x: int, y: int, z: int):

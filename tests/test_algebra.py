@@ -13,6 +13,8 @@ import maxclass
 from maxclass.algebra import (GradedAlgebra, InvalidParameter, NotClosed,
                               ParseError, ValidationFailed, load_custom, preset,
                               subalgebra, validate)
+from maxclass.cochain import Cochain, jacobi_defect
+from maxclass.fields import QQ
 
 
 def test_m0_brackets():
@@ -207,6 +209,22 @@ def _truncated_tables(draw):
 def test_validate_equals_the_triple_loop_on_random_tables(case):
     alg, bound = case
     assert validate(alg, bound).violations == jacobi_oracle.violations(alg, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_truncated_tables())
+def test_jacobi_defect_equals_d_applied_twice_on_random_tables(case):
+    alg, _ = case
+    for i in alg.generators_up_to(alg.truncation):
+        assert jacobi_defect(alg, i) == jacobi_oracle.defect(alg, i), i
+
+
+@pytest.mark.parametrize("name,param", [("m0", None), ("m2", None), ("l1", None),
+                                        ("lk", 3), ("m0n", 9), ("m2n", 9), ("l1quot", 11)])
+def test_jacobi_defect_equals_d_applied_twice_on_the_presets(name, param):
+    alg = preset(name, param)
+    for i in alg.generators_up_to(46):
+        assert jacobi_defect(alg, i) == jacobi_oracle.defect(alg, i) == Cochain(QQ), i
 
 
 @pytest.mark.parametrize("name,param", [("m0", None), ("m2", None), ("l1", None),

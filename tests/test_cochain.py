@@ -1,3 +1,4 @@
+import random
 import weakref
 from itertools import combinations
 from math import comb
@@ -60,21 +61,51 @@ def test_basis_dimensions_match_partition_counts():
             assert dim == partitions_P(q, k - q * (q + 1) // 2)
 
 
-def test_basis_enumerates_each_cell_once(monkeypatch):
-    calls = []
-    enumerate_ = cochain.increasing_tuples
-    monkeypatch.setattr(cochain, "increasing_tuples",
-                        lambda *args: calls.append(args) or enumerate_(*args))
+def test_basis_enumerates_each_cell_once():
     cochain._basis.cache_clear()
     m0 = preset("m0")
     first = basis(m0, 3, 12)
+    built = cochain._basis.cache_info()
+    # the cell and each cell below it that it was built from: one miss each
+    assert built.misses == built.currsize > 1
     expected = list(first)
     # a caller's list is its own
     first.append((0, 0, 0))
     first[0] = ()
     assert basis(m0, 3, 12) == expected
     assert type(basis(m0, 3, 12)) is list
-    assert len(calls) == 1
+    assert basis(m0, 2, 11) == [(1, 10), (2, 9), (3, 8), (4, 7), (5, 6)]
+    assert cochain._basis.cache_info().misses == built.misses
+
+
+# a finite index set with holes: m0 has no bracket between indices >= 2
+_HOLES = subalgebra(preset("m0n", 24), {2, 3, 5, 8, 9, 13, 14, 20, 21, 24})
+
+
+@pytest.mark.parametrize("order", ["top weight down", "shuffled"])
+@pytest.mark.parametrize("alg", [
+    preset("m0"), preset("m2"), preset("l1"), preset("lk", 3), preset("m0n", 7),
+    preset("l1quot", 9), subalgebra(preset("m0"), lambda i: i >= 3), _HOLES],
+    ids=["m0", "m2", "l1", "lk:3", "m0n:7", "l1quot:9", "m0|i>=3", "holes"])
+def test_basis_matches_brute_force_from_a_cold_cache(alg, order):
+    """Each cell is built from the cells below it, which the cache holds
+    or builds first; the order the cells are asked in must not matter."""
+    Q, K = 6, 30
+    expected = {}
+    for q in range(Q + 1):
+        # the other q - 1 indices sum to at least 1 + ... + (q - 1)
+        for t in combinations(alg.generators_up_to(K - q * (q - 1) // 2), q):
+            if sum(t) <= K:
+                expected.setdefault((q, sum(t)), []).append(t)
+    cells = [(q, k) for k in range(K, -1, -1) for q in range(Q, -2, -1)]
+    if order == "shuffled":
+        random.Random(K).shuffle(cells)
+    cochain._basis.cache_clear()
+    try:
+        for q, k in cells:
+            assert basis(alg, q, k) == expected.get((q, k), []), (q, k)
+    finally:
+        cochain._basis.cache_clear()
 
 
 def test_basis_empty_and_scalar_cells():

@@ -1,6 +1,7 @@
 """Tests for highest-weight sl(2) modules and primitive vectors in
 their exterior powers."""
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -73,6 +74,17 @@ def test_wedge_basis_dimensions():
     for q in range(1, 5):
         for k in range(15):
             assert len(wedge_basis(mod, q, k)) == distinct_V(q, k + q)
+
+
+@pytest.mark.parametrize("dim", [None, 1, 2, 6, 12])
+def test_wedge_basis_lists_every_tuple_with_index_0(dim):
+    """The index pool of a wedge basis starts at 0, which no cochain
+    basis holds; each call builds its cell from the cells below it."""
+    mod = Sl2Module(LAM, dim=dim)
+    for q, k in [(q, k) for q in range(-1, 7) for k in range(-1, 22)]:
+        pool = range(k + 1 if dim is None else dim)
+        expected = [t for t in combinations(pool, q) if sum(t) == k] if q >= 0 else []
+        assert wedge_basis(mod, q, k) == expected, (q, k)
 
 
 def test_primitive_dimension_by_partition_difference():
