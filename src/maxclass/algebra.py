@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -41,7 +42,9 @@ class GradedAlgebra:
     that scalar and is only consulted for i < j with e_{i+j} a
     generator; antisymmetry and the truncation/membership drop are
     applied here, so no rule can break either.  Instances are immutable
-    and hashable (used as cache keys downstream).
+    and hashable (used as cache keys downstream).  Each keeps its
+    generators as a memo: membership is scanned once, up to the largest
+    weight asked of `generators_up_to`.
     """
 
     def __init__(self, name: str, rule: Callable[[int, int], Fraction],
@@ -52,6 +55,8 @@ class GradedAlgebra:
         self._contains = contains
         self.truncation = truncation
         self.key = key if key is not None else name
+        self._generators: list[int] = []
+        self._scanned = 0
 
     def contains(self, i: int) -> bool:
         if i < 1:
@@ -61,8 +66,12 @@ class GradedAlgebra:
         return self._contains(i)
 
     def generators_up_to(self, k: int) -> list[int]:
+        """The generators e_1 .. e_k, ascending, as a new list."""
         top = k if self.truncation is None else min(k, self.truncation)
-        return [i for i in range(1, top + 1) if self.contains(i)]
+        if top > self._scanned:
+            self._generators += filter(self.contains, range(self._scanned + 1, top + 1))
+            self._scanned = top
+        return self._generators[:bisect_right(self._generators, top)]
 
     def bracket(self, i: int, j: int) -> Fraction:
         if not (self.contains(i) and self.contains(j)):
@@ -184,25 +193,29 @@ _CLOSURE_BOUND = 60
 
 def subalgebra(alg: GradedAlgebra,
                indices: Iterable[int] | Callable[[int], bool]) -> GradedAlgebra:
-    """Restrict alg to an index subset, checking bracket closure up to
-    _CLOSURE_BOUND (finitely, since the subset may be infinite)."""
+    """Restrict alg to an index subset, checking bracket closure: for a
+    finite index set on every pair of members; for a predicate, whose
+    subset may be infinite, on the members up to _CLOSURE_BOUND only.  A
+    pair whose sum is a member is closed whatever its bracket, so only
+    the other pairs evaluate one."""
     if callable(indices):
         # two predicates cannot be compared, so each gets its own key
         member = indices
         tag = f"pred{next(_PREDICATE_IDS)}"
+        candidates = range(1, _CLOSURE_BOUND + 1)
     else:
         idx = frozenset(indices)
         member = idx.__contains__
         tag = ",".join(map(str, sorted(idx)))
+        candidates = sorted(idx)
 
     def contains(i):
         return alg.contains(i) and member(i)
 
-    top = _CLOSURE_BOUND if alg.truncation is None else min(_CLOSURE_BOUND, alg.truncation)
-    gens = [i for i in range(1, top + 1) if contains(i)]
+    gens = list(filter(contains, candidates))
     for ia, a in enumerate(gens):
         for b in gens[ia + 1:]:
-            if alg.bracket(a, b) and not member(a + b):
+            if not contains(a + b) and alg.bracket(a, b):
                 raise NotClosed(f"[e{a}, e{b}] hits e{a + b} outside the subset")
 
     return GradedAlgebra(f"{alg.name}|sub", alg._rule, contains,

@@ -13,12 +13,13 @@ its Koszul sign from one popcount, (-1)^popcount(base & S).  The loop
 returns rows, target mask -> {source index: coefficient}: `map_matrix`
 orders them by its target basis, and `derive` sums each against the
 coefficients of a cochain.  Each image tuple is compiled to its mask
-and S once: per (algebra, field) for the differential, per call for
-any other map.
+and S once per process for a fixed map: per (algebra, field) for the
+differential, per (floor, field) for D1, per field for D2, per
+(lambda, rescaled, field) for X; any other map is compiled per call.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import lru_cache, partial
 from operator import lt
 
@@ -161,8 +162,10 @@ def wedge(a: Cochain, b: Cochain) -> Cochain:
 
 def _cell(q: int, k: int, heads, cell) -> tuple[Monomial, ...]:
     """The strictly increasing q-tuples with sum k over an ascending pool
-    of integers, in lexicographic order.  heads(b) lists the pool up to
-    b; cell(q - 1, k') is a cell one degree down, cached by the caller.
+    of integers, in lexicographic order: the cochain cells (`_basis`) and
+    the sl(2) wedge cells, whose pool starts at 0.  heads(b) lists the
+    pool up to b; cell(q - 1, k') is a cell one degree down, cached per
+    process by the caller.
     Each head a with q*a + q(q-1)/2 <= k (the least sum of q increasing
     integers from a) goes before every tail of cell(q - 1, k - a) above
     a, found by one `bisect` on (a + 1,): one concatenation a tuple."""
@@ -175,19 +178,6 @@ def _cell(q: int, k: int, heads, cell) -> tuple[Monomial, ...]:
         head, tails = (a,), cell(q - 1, k - a)
         out += [head + t for t in tails[bisect_left(tails, (a + 1,)):]]
     return tuple(out)
-
-
-def increasing_tuples(indices, q: int, k: int) -> list[Monomial]:
-    """All strictly increasing q-tuples drawn from the strictly ascending
-    integer sequence `indices` with sum k, in lexicographic order (the
-    sl(2) wedge bases, whose pool starts at 0).  `_cell` builds each
-    cell from the cells one degree down, kept for this call."""
-    pool = list(indices)
-
-    @lru_cache(maxsize=None)
-    def cell(q, k):
-        return _cell(q, k, lambda b: pool[:bisect_right(pool, b)], cell)
-    return list(cell(q, k))
 
 
 @lru_cache(maxsize=None)
@@ -271,8 +261,9 @@ class _Compiled(dict):
 
 def _compiled(images, field: Field) -> _Compiled:
     """An image map compiled for `_derived_rows`: itself if it already is
-    one over this field (the differential's, see `_generator_images`),
-    else compiled for this call."""
+    one over this field (a fixed map kept per process, such as the
+    differential's, see `_generator_images`), else compiled for this
+    call."""
     if isinstance(images, _Compiled) and images.field == field:
         return images
     return _Compiled(images, field)
@@ -335,8 +326,8 @@ def derive(c: Cochain, images) -> Cochain:
     `_derived_rows`, and each row is summed against the coefficients of
     c.  A `_Compiled` map over the same field is used as it is, so a
     caller that passes one to many calls compiles each image once (as
-    `_generator_images` does for d per (algebra, field), and `explicit`
-    for D1 and D2 per public call); a plain callable is compiled for
+    `_generator_images` does for d, `explicit` for D1 and D2, and `sl2`
+    for X, each kept per process); a plain callable is compiled for
     this call only."""
     f = c.field
     coeffs = list(c.terms.values())

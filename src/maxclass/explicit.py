@@ -8,17 +8,20 @@ exterior algebra on the abelian (or almost-abelian) ideal:
 
 plus partial right inverses and the ``omega`` expansion, which converts
 a strictly increasing index tuple into an explicitly closed cochain;
-each public construction is one such expansion, `_omega_sum`.  The cup
-product of two omega classes is their wedge, which already lies in the
-span of the omega cochains.  The m2 variants carry 1/2^l coefficients
-and therefore refuse fields of characteristic two.
+each public construction is one such expansion, `_omega_sum`.  D1 is
+compiled once per (floor, field) and D2 once per field, and both are
+kept for the process.  The cup product of two omega classes is their
+wedge, which already lies in the span of the omega cochains.  The m2
+variants carry 1/2^l coefficients and therefore refuse fields of
+characteristic two.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import preset
-from .cochain import Cochain, Monomial, _compiled, derive, differential, wedge
+from .cochain import Cochain, Monomial, _Compiled, derive, differential, wedge
 from .fields import QQ, Field
 
 
@@ -41,17 +44,18 @@ class NoLeadingTerm(ValueError):
 # ---------------------------------------------------------------------------
 # derivations
 
-def _d1_images(floor: int):
-    """The images of D1 on generators: e^i -> e^{i-1}, and 0 on e^1 and
-    e^floor."""
-    return lambda i: [] if i in (1, floor) else [(1, (i - 1,))]
+@lru_cache(maxsize=None)
+def _d1(floor: int, field: Field) -> _Compiled:
+    """D1 on generators, e^i -> e^{i-1} and 0 on e^1 and e^floor,
+    compiled once per (floor, field)."""
+    return _Compiled(lambda i: [] if i in (1, floor) else [(1, (i - 1,))], field)
 
 
 def d1_apply(c: Cochain, floor: int = 2) -> Cochain:
     """ad e1^* as a derivation: e^i -> e^{i-1}, killing e^1 and the
     bottom generator e^floor of the ideal (2 for m0; 3 for the ideal
     spanned by e^1, e^3, e^4, ... inside m2)."""
-    return derive(c, _d1_images(floor))
+    return derive(c, _d1(floor, c.field))
 
 
 def _d2_images(i):
@@ -64,20 +68,21 @@ def _d2_images(i):
     return [(1, (i - 2,))]
 
 
+@lru_cache(maxsize=None)
+def _d2(field: Field) -> _Compiled:
+    """D2 compiled once per field."""
+    return _Compiled(_d2_images, field)
+
+
 def d2_apply(c: Cochain) -> Cochain:
     """ad e2^* on the m2 ideal: e^3 -> e^1, e^4 -> 0, e^i -> e^{i-2}."""
-    return derive(c, _d2_images)
-
-
-def _d2_plus_d1sq(field: Field):
-    """c -> D2(c) + D1^2(c), D1 with generator floor 3, over `field`; D2
-    and D1 are compiled once for every call of the returned map."""
-    d2, d1 = _compiled(_d2_images, field), _compiled(_d1_images(3), field)
-    return lambda c: derive(c, d2) + derive(derive(c, d1), d1)
+    return derive(c, _d2(c.field))
 
 
 def d2_plus_d1sq(c: Cochain) -> Cochain:
-    return _d2_plus_d1sq(c.field)(c)
+    """D2(c) + D1^2(c), D1 with generator floor 3."""
+    d1 = _d1(3, c.field)
+    return d2_apply(c) + derive(derive(c, d1), d1)
 
 
 def _check_indices(indices, floor: int) -> tuple:
@@ -94,8 +99,8 @@ def _omega_sum(groups, field: Field, floor: int = 2) -> Cochain:
     {t: terms of xi_t}, no index of xi_t above t.  D1 lowers indices, so
     a term is its monomial with t+1+l appended, sign +1, and the
     monomials sharing a top expand together; the sum over different tops
-    cancels as it goes.  D1 is compiled once per call."""
-    d1 = _compiled(_d1_images(floor), field)
+    cancels as it goes."""
+    d1 = _d1(floor, field)
     out = Cochain(field)
     for t, terms in groups.items():
         xi, top, negate = Cochain(field, terms), t + 1, False
@@ -192,14 +197,14 @@ def _w_sum(indices, field: Field, floor: int, halves: int) -> Cochain:
     e^{i_q+2+l}, floor) / 2^(l + halves).  D2 + D1^2 lowers indices, so
     stage l is omega_map of its monomials m with t = i_q+1+l, t+1
     appended: the group t of `_omega_sum`, terms m + (t,) for
-    m[0] >= floor.  D2 + D1^2 and the expansion compile once per call."""
+    m[0] >= floor."""
     indices = _check_indices(indices, 3)
     _require_odd_characteristic(field)
-    step, x, groups, l = _d2_plus_d1sq(field), Cochain.monomial(field, indices), {}, 0
+    x, groups, l = Cochain.monomial(field, indices), {}, 0
     while x.terms:
         t, scale = indices[-1] + 1 + l, field.from_rational(Fraction(1, 2 ** (l + halves)))
         groups[t] = {m + (t,): field.mul(v, scale) for m, v in x.terms.items() if m[0] >= floor}
-        x, l = step(x), l + 1
+        x, l = d2_plus_d1sq(x), l + 1
     return _omega_sum(groups, field, floor)
 
 

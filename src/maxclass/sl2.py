@@ -8,13 +8,19 @@ For non-integral lambda we rescale to a basis with X ft_i = ft_{i-1},
 which makes the raising operator on exterior powers literally the
 index-lowering derivation.  Elements are dicts index -> scalar;
 wedge monomials are strictly increasing index tuples.
+
+Each wedge cell is enumerated once per process and pool top, and X is
+compiled once per (lambda, rescaled, field); both are keyed by value,
+so a module whose attributes change reads the cells and the map of its
+new values.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from . import linalg
-from .cochain import increasing_tuples, map_matrix
+from .cochain import _cell, _Compiled, map_matrix
 from .fields import QQ, Field
 
 
@@ -45,11 +51,11 @@ class Sl2Module:
         return f"Sl2Module(lambda={self.lam}, dim={size}, basis={basis})"
 
 
-def _x_coeff(mod: Sl2Module, i: int) -> Fraction:
+def _x_coeff(lam: Fraction, rescaled: bool, i: int) -> Fraction:
     """Coefficient of f_{i-1} in X f_i."""
-    if mod.rescaled:
+    if rescaled:
         return Fraction(1)
-    return mod.lam - i + 1
+    return lam - i + 1
 
 
 def _y_coeff(mod: Sl2Module, i: int) -> Fraction:
@@ -80,25 +86,39 @@ def act(mod: Sl2Module, g: str, c: dict) -> dict:
             put(i, f.mul(v, f.from_rational(mod.lam - 2 * i)))
         elif g == "X":
             if i > 0:
-                put(i - 1, f.mul(v, f.from_rational(_x_coeff(mod, i))))
+                put(i - 1, f.mul(v, f.from_rational(_x_coeff(mod.lam, mod.rescaled, i))))
         else:
             put(i + 1, f.mul(v, f.from_rational(_y_coeff(mod, i))))
     return out
 
 
+@lru_cache(maxsize=None)
+def _wedge_cell(top: int | None, q: int, k: int) -> tuple[tuple, ...]:
+    """The q-tuples of indices 0..top (0, 1, ... for top None) with sum
+    k, built by `_cell` from the cached cells below it."""
+    return _cell(q, k, lambda b: range((b if top is None else min(b, top)) + 1),
+                 partial(_wedge_cell, top))
+
+
 def wedge_basis(mod: Sl2Module, q: int, k: int) -> list[tuple]:
-    """Strictly increasing q-tuples of indices summing to k."""
-    bound = (mod.dim - 1) if mod.dim is not None else k
-    return increasing_tuples(range(bound + 1), q, k)
+    """Strictly increasing q-tuples of indices summing to k, in
+    lexicographic order; every call returns a new list."""
+    return list(_wedge_cell(None if mod.dim is None else mod.dim - 1, q, k))
+
+
+@lru_cache(maxsize=None)
+def _x_images(lam: Fraction, rescaled: bool, field: Field) -> _Compiled:
+    """X on the module's indices, i -> [(coefficient, (i - 1,))] for
+    i > 0, compiled once per (lambda, rescaled, field)."""
+    def images(i):
+        return [(field.from_rational(_x_coeff(lam, rescaled, i)), (i - 1,))] if i > 0 else []
+    return _Compiled(images, field)
 
 
 def x_derivation_matrix(mod: Sl2Module, q: int, k: int):
     """Matrix of X acting as an even derivation Lambda^q_k -> Lambda^q_{k-1}."""
-    f = mod.field
-
-    def images(i):
-        return [(f.from_rational(_x_coeff(mod, i)), (i - 1,))] if i > 0 else []
-    return map_matrix(f, wedge_basis(mod, q, k), wedge_basis(mod, q, k - 1), images)
+    return map_matrix(mod.field, wedge_basis(mod, q, k), wedge_basis(mod, q, k - 1),
+                      _x_images(mod.lam, mod.rescaled, mod.field))
 
 
 def primitive_basis(mod: Sl2Module, q: int, k: int) -> list[dict]:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from maxclass.algebra import (GradedAlgebra, InvalidParameter, NotClosed,
                               ParseError, ValidationFailed, load_custom, preset,
                               subalgebra, validate)
 from maxclass.cochain import Cochain, jacobi_defect
+from maxclass.dixmier import IdealSplit
 from maxclass.fields import QQ
 
 
@@ -85,6 +87,51 @@ def test_subalgebra_closure():
     with pytest.raises(NotClosed):
         # e_1 and e_2 generate everything, but e_3 is missing
         subalgebra(m2, lambda i: i in (1, 2))
+
+
+def test_subalgebra_of_a_finite_index_set_checks_every_pair():
+    """A finite index set is checked on every pair of its members, not
+    only on those up to the bound that predicates are checked to."""
+    with pytest.raises(NotClosed, match=r"\[e1, e100\] hits e101"):
+        subalgebra(preset("m0"), [1, 100])
+    with pytest.raises(NotClosed, match=r"\[e70, e75\] hits e145"):
+        subalgebra(preset("l1"), [70, 75])
+    # [e1, e100] = e101 is a member, and [e1, e101] leaves m0(101)
+    closed = subalgebra(preset("m0n", 101), [1, 100, 101])
+    assert closed.generators_up_to(200) == [1, 100, 101]
+
+
+def test_closure_check_evaluates_no_bracket_whose_sum_is_a_member(monkeypatch):
+    """A pair whose sum is a member is closed whatever its bracket: the
+    splits and the abelian ideal of m2 evaluate no bracket at all."""
+    calls = []
+    bracket = GradedAlgebra.bracket
+    monkeypatch.setattr(GradedAlgebra, "bracket",
+                        lambda alg, i, j: calls.append((i, j)) or bracket(alg, i, j))
+    m0, m2 = preset("m0"), preset("m2")
+    IdealSplit(m0, 1), IdealSplit(m2, 2), subalgebra(m2, lambda i: i >= 3)
+    assert calls == []
+    with pytest.raises(NotClosed):
+        subalgebra(m2, lambda i: i in (1, 2))
+    assert calls == [(1, 2)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: preset("m0n", 12), lambda: preset("lk", 3), lambda: preset("l1quot", 13),
+    lambda: subalgebra(preset("m2"), lambda i: i >= 3),
+    lambda: subalgebra(preset("m0n", 24), {2, 3, 5, 8, 9, 13, 14, 20, 21, 24})],
+    ids=["m0n:12", "lk:3", "l1quot:13", "m2|i>=3", "holes"])
+def test_generators_up_to_from_a_cold_memo(build):
+    """A new algebra's memo is empty and scans membership up to the
+    largest weight asked so far.  Asked at shuffled weights, every answer
+    is the plain scan, and appending to an answer changes no later one."""
+    alg = build()
+    weights = list(range(-2, 45)) * 2
+    random.Random(12).shuffle(weights)
+    for k in weights:
+        got = alg.generators_up_to(k)
+        assert got == [i for i in range(1, k + 1) if alg.contains(i)], k
+        got += [k + 1, 0]
 
 
 def test_subalgebra_keys_are_distinct():

@@ -1,5 +1,7 @@
 import random
 import weakref
+from bisect import bisect_right
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -11,7 +13,7 @@ from maxclass import cochain
 from maxclass.algebra import GradedAlgebra, preset, subalgebra
 from maxclass.cochain import (Cochain, FieldMismatch, NegativeIndex, UnsortedMonomial,
                               basis, cochain_text, cochain_to_json, derive, differential,
-                              differential_matrix, increasing_tuples, map_matrix,
+                              differential_matrix, map_matrix,
                               sort_with_sign, wedge)
 from maxclass.combinatorics import distinct_V, partitions_P
 from maxclass.fields import QQ, PrimeField
@@ -298,22 +300,33 @@ def test_differential_linearity(pairs):
     assert differential(m0, total) == image
 
 
-# pools hold 0, as the sl(2) wedge bases enumerate range(bound + 1); short
-# pools with large k are where the largest completion prunes
+def cell_over(pool, q, k):
+    """`cochain._cell` on an ascending pool of integers, with the cells
+    below it kept in a memo for this call."""
+    pool = list(pool)
+
+    @lru_cache(maxsize=None)
+    def cell(q, k):
+        return cochain._cell(q, k, lambda b: pool[:bisect_right(pool, b)], cell)
+    return list(cell(q, k))
+
+
+# pools hold 0, as the sl(2) wedge cells do; short pools with large k are
+# where the least sum of q increasing heads prunes
 @settings(max_examples=400, deadline=None)
 @given(st.sets(st.integers(0, 30), max_size=14) | st.sets(st.integers(0, 30), max_size=5),
        st.integers(-1, 8), st.integers(-1, 130))
-def test_increasing_tuples_match_brute_force(pool, q, k):
+def test_cell_matches_brute_force(pool, q, k):
     pool = sorted(pool)
     expected = [t for t in combinations(pool, q) if sum(t) == k] if q >= 0 else []
-    assert increasing_tuples(pool, q, k) == expected
+    assert cell_over(pool, q, k) == expected
 
 
-def test_increasing_tuples_at_the_largest_sum():
+def test_cell_at_the_largest_sum():
     # the only 6-tuple of 1..40 with the largest sum, and one just above it
-    assert increasing_tuples(range(1, 41), 6, 225) == [tuple(range(35, 41))]
-    assert increasing_tuples(range(1, 41), 6, 226) == []
-    assert increasing_tuples(range(1, 41), 41, 820) == []
+    assert cell_over(range(1, 41), 6, 225) == [tuple(range(35, 41))]
+    assert cell_over(range(1, 41), 6, 226) == []
+    assert cell_over(range(1, 41), 41, 820) == []
 
 
 @pytest.mark.parametrize("key,n", [("m0n", 17), ("m2n", 13), ("l1quot", 15)])
@@ -330,7 +343,7 @@ def test_quotient_bases_hold_every_monomial_once(key, n):
         cochain._basis.cache_clear()
 
 
-def test_increasing_tuples_on_non_contiguous_pools():
+def test_cell_on_non_contiguous_pools():
     pools = [[i for i in range(1, 30) if i != 2], [i for i in range(1, 30) if i >= 3],
              [i for i in range(30) if i % 3], []]
     for pool in pools:
@@ -339,5 +352,5 @@ def test_increasing_tuples_on_non_contiguous_pools():
             for t in combinations(pool, q):
                 by_sum.setdefault(sum(t), []).append(t)
             for k in range(80):
-                assert increasing_tuples(pool, q, k) == by_sum.get(k, []), (q, k)
-    assert increasing_tuples(range(5), -1, 0) == []
+                assert cell_over(pool, q, k) == by_sum.get(k, []), (q, k)
+    assert cell_over(range(5), -1, 0) == []

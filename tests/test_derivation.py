@@ -92,7 +92,7 @@ def test_x_derivation_matrix_equals_the_oracle_assembly(mod):
     f = mod.field
 
     def images(i):
-        return [(f.from_rational(_x_coeff(mod, i)), (i - 1,))] if i > 0 else []
+        return [(f.from_rational(_x_coeff(mod.lam, mod.rescaled, i)), (i - 1,))] if i > 0 else []
     for q in range(1, 4):
         for k in range(1, 16):
             _same_matrix(x_derivation_matrix(mod, q, k),

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import cup_oracle
 import derivation_oracle
 import w_oracle
-from maxclass import cochain, explicit
+from maxclass import cochain, explicit, sl2
 from maxclass.algebra import preset, subalgebra
 from maxclass.cochain import Cochain, basis, cochain_text, differential, wedge
 from maxclass.cohomology import betti, is_exact
@@ -179,17 +179,55 @@ def test_omega_map():
     assert omega_map(mono((1, 6, 7))).is_zero()
 
 
-def test_omega_map_compiles_d1_once_per_call(monkeypatch):
-    """One omega_map call expands all its kept monomials with one
-    compiled D1, however many there are."""
-    built = []
-    init = cochain._Compiled.__init__
-    monkeypatch.setattr(cochain._Compiled, "__init__",
-                        lambda self, images, field: built.append(images) or init(self, images, field))
+def _record_compiled(monkeypatch):
+    """From a cold start of every fixed map (d, D1, D2 and X), record
+    each image compiled as (map, field, i).  A map is its function with
+    the values it closes over, so a map compiled afresh is recorded as
+    the same map: D1 at floor 3 and D1 at floor 2 are two maps."""
+    for cache in (cochain._generator_images, explicit._d1, explicit._d2, sl2._x_images):
+        cache.cache_clear()
+    compiled = []
+    compile_ = cochain._Compiled.__missing__
+
+    def recorded(self, i):
+        cells = self.images.__closure__ or ()
+        compiled.append((self.images.__code__, tuple(c.cell_contents for c in cells),
+                         self.field, i))
+        return compile_(self, i)
+    monkeypatch.setattr(cochain._Compiled, "__missing__", recorded)
+    return compiled
+
+
+def test_omega_map_compiles_d1_once_per_process(monkeypatch):
+    """omega_map, omega and d1_apply share one compiled D1 per (floor,
+    field): across the calls, no image is compiled twice."""
+    compiled = _record_compiled(monkeypatch)
     c = mono((2, 5, 6)) + mono((3, 5, 6)) + mono((2, 6, 7)) + mono((4, 8, 9))
     got = omega_map(c)
-    assert len(built) == 1
     assert got == omega((2, 5)) + omega((3, 5)) + omega((2, 6)) + omega((4, 8))
+    for s in [(2, 5), (4, 9), (3, 4, 8), (6,)]:
+        omega(s), omega(s, PrimeField(5)), omega((3,) + s[1:], floor=3)
+        d1_apply(mono(s)), d1_apply(mono(s), 3)
+    assert omega_map(c) == got
+    assert compiled and len(compiled) == len(set(compiled))
+    assert {field for _, _, field, _ in compiled} == {QQ, PrimeField(5)}
+
+
+def test_w_compiles_d2_and_d1_once_per_process(monkeypatch):
+    """w_cocycle, d_minus2_class, omega and primitive_basis, called many
+    times in turn, compile no image of d, D1, D2 or X twice."""
+    compiled = _record_compiled(monkeypatch)
+    modules = [sl2.Sl2Module(Fraction(-3, 7)), sl2.Sl2Module(4, dim=6, rescaled=False)]
+    for spec in [(3, 5, 8), (5,), (4, 7), (3, 5, 8), (6, 9)]:
+        w_cocycle(spec), d_minus2_class(spec), omega(spec)
+        for mod in modules:
+            for q, k in [(2, 6), (3, 9), (1, 4)]:
+                sl2.primitive_basis(mod, q, k)
+    assert len(compiled) == len(set(compiled))
+    codes = {code for code, _, _, _ in compiled}
+    assert explicit._d2_images.__code__ in codes
+    assert {lam for code, cells, _, _ in compiled for lam in cells
+            if isinstance(lam, Fraction)} == {Fraction(-3, 7), Fraction(4)}
 
 
 @st.composite
@@ -325,25 +363,6 @@ def test_w_golden():
         golden = fh.read().strip()
     assert cochain_text(w_cocycle((5,))) == golden
     assert w_cocycle((5,)) == omega((5, 6)) + omega((3, 7))
-
-
-def test_w_compiles_d2_and_d1_once_per_call(monkeypatch):
-    """_w_sum compiles D2 and D1 once for all the steps of its expansion:
-    no image map compiles the image of one e^i twice in a call.  A map
-    is its function with the values it closes over, so D1 at floor 3
-    (the steps) and D1 at floor 2 (the expansion) are two maps.
-    w(3, 5, 8) compiles 44 images, 24 with m2's d already compiled."""
-    compiled = []
-    compile_ = cochain._Compiled.__missing__
-
-    def recorded(self, i):
-        cells = self.images.__closure__ or ()
-        compiled.append((self.images.__code__, tuple(c.cell_contents for c in cells), i))
-        return compile_(self, i)
-    monkeypatch.setattr(cochain._Compiled, "__missing__", recorded)
-    w_cocycle((3, 5, 8))
-    assert len(compiled) == len(set(compiled))
-    assert any(code is explicit._d2_images.__code__ for code, _, _ in compiled)
 
 
 @settings(max_examples=40, deadline=None)

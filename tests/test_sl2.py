@@ -1,10 +1,12 @@
 """Tests for highest-weight sl(2) modules and primitive vectors in
 their exterior powers."""
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from maxclass import sl2
 from maxclass.algebra import preset, subalgebra
 from maxclass.cochain import basis
 from maxclass.combinatorics import bounded_distinct_V, distinct_V
@@ -79,12 +81,41 @@ def test_wedge_basis_dimensions():
 @pytest.mark.parametrize("dim", [None, 1, 2, 6, 12])
 def test_wedge_basis_lists_every_tuple_with_index_0(dim):
     """The index pool of a wedge basis starts at 0, which no cochain
-    basis holds; each call builds its cell from the cells below it."""
+    basis holds; each cell is built from the cached cells below it."""
     mod = Sl2Module(LAM, dim=dim)
     for q, k in [(q, k) for q in range(-1, 7) for k in range(-1, 22)]:
         pool = range(k + 1 if dim is None else dim)
         expected = [t for t in combinations(pool, q) if sum(t) == k] if q >= 0 else []
         assert wedge_basis(mod, q, k) == expected, (q, k)
+
+
+def test_wedge_cells_of_five_modules_from_a_cold_cache():
+    """The cells of modules of five sizes share one cache, keyed by the
+    top of the index pool.  Asked interleaved in shuffled order from a
+    cold cache, each equals the brute force, and appending to a returned
+    list changes no later answer."""
+    asks = [(dim, q, k) for dim in (None, 1, 2, 6, 12) for q in range(-1, 7)
+            for k in range(-1, 22)] * 2
+    random.Random(6).shuffle(asks)
+    sl2._wedge_cell.cache_clear()
+    for dim, q, k in asks:
+        pool = range(k + 1 if dim is None else dim)
+        expected = [t for t in combinations(pool, q) if sum(t) == k] if q >= 0 else []
+        got = wedge_basis(Sl2Module(LAM, dim=dim), q, k)
+        assert got == expected, (dim, q, k)
+        got.append((k,))
+
+
+def test_a_changed_module_reads_the_cells_and_x_of_its_new_values():
+    """Wedge cells and X are cached by value, not by module."""
+    mod = Sl2Module(4, dim=5, rescaled=False)
+    before = x_derivation_matrix(mod, 2, 7)
+    assert (before.rows, before.cols) == (1, 1)
+    mod.lam, mod.dim = Fraction(6), 7
+    fresh = Sl2Module(6, dim=7, rescaled=False)
+    assert wedge_basis(mod, 2, 7) == wedge_basis(fresh, 2, 7)
+    got, want = x_derivation_matrix(mod, 2, 7), x_derivation_matrix(fresh, 2, 7)
+    assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
 
 
 def test_primitive_dimension_by_partition_difference():
